@@ -78,9 +78,9 @@ func BenchmarkSimulate(b *testing.B) {
 }
 
 // Serial-vs-pool benchmarks for the parallel kernels. "workers=1" is
-// the serial fallback; "workers=max" uses the default pool (GOMAXPROCS
-// or GOPIM_WORKERS). Output of every kernel is byte-identical across
-// the two, so these measure pure scheduling gain.
+// the serial fallback; "workers=max" uses the default pool (GOMAXPROCS;
+// GOPIM_WORKERS is read only by the CLI). Output of every kernel is
+// byte-identical across the two, so these measure pure scheduling gain.
 
 func withWorkerCounts(b *testing.B, run func(b *testing.B)) {
 	b.Helper()

@@ -112,7 +112,7 @@ func TestExplainJSONOutput(t *testing.T) {
 
 // setExplainInfo records the headline figures in the manifest — and
 // only when an analysis ran, so other commands' manifests keep their
-// shape (the setFaultInfo contract).
+// shape (the same contract as the knobs).
 func TestManifestExplainFields(t *testing.T) {
 	resetObs(t)
 	dir := t.TempDir()
@@ -127,7 +127,7 @@ func TestManifestExplainFields(t *testing.T) {
 	}
 
 	s := newSession()
-	s.setRunInfo(1, 0, "text", true)
+	s.setRunInfo(1, 0, "text", true, nil)
 	ex := explain.Analyze(accel.TraceInput(gopim.Simulate(gopim.GoPIM,
 		gopim.Workload{Dataset: mustDataset(t, "ddi"), Seed: 1})), nil, explain.Options{})
 	s.setExplainInfo(ex)
@@ -149,7 +149,7 @@ func TestManifestExplainFields(t *testing.T) {
 
 	// No analysis: the keys must not appear at all.
 	s = newSession()
-	s.setRunInfo(1, 0, "text", true)
+	s.setRunInfo(1, 0, "text", true, nil)
 	if err := s.finish(); err != nil {
 		t.Fatal(err)
 	}

@@ -32,6 +32,11 @@
 //	-seed N      random seed for synthetic graph generation (default 1)
 //	-fast        shrink workloads for a quick smoke run
 //	-format f    text, csv or markdown for experiment output
+//
+// Knob flags, resolved by one table in knobs.go (DESIGN.md §19). An
+// invalid value warns, bumps gopim.knobs_invalid and uses the default;
+// knobs off their defaults are recorded under "knobs" in the manifest.
+//
 //	-workers N   worker-pool size for parallel kernels and the
 //	             experiment fan-out (default: GOPIM_WORKERS env, else
 //	             GOMAXPROCS); output is identical at any worker count
@@ -82,14 +87,10 @@ import (
 	"os"
 
 	"gopim"
-	"gopim/internal/churn"
 	"gopim/internal/endurance"
 	"gopim/internal/experiments"
-	"gopim/internal/fault"
 	"gopim/internal/gcn"
 	"gopim/internal/mapping"
-	"gopim/internal/simmemo"
-	"gopim/internal/spmm"
 	"gopim/internal/trace"
 	"gopim/internal/tuner"
 )
@@ -98,15 +99,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed for synthetic graph generation")
 	fast := flag.Bool("fast", false, "shrink workloads for a quick smoke run")
 	format := flag.String("format", "text", "output format: text, csv, markdown")
-	workers := flag.Int("workers", 0, "worker-pool size (0 = GOPIM_WORKERS env, else GOMAXPROCS)")
-	spmmFlag := flag.String("spmm", "", "SpMM strategy: auto|row|blocked|bucketed|edge (default: GOPIM_SPMM env, else auto)")
-	simMemo := flag.String("sim-memo", "", "sweep-memoization layer: on|off (default: GOPIM_SIM_MEMO env, else on)")
-	faultRate := flag.Float64("fault-rate", 0, "stuck-at cell fault probability in [0,1] (0 = faults off)")
-	faultSeed := flag.Int64("fault-seed", 1, "seed for the deterministic fault streams")
-	faultVerifyMax := flag.Int("fault-verify-max", fault.DefaultVerifyMax, "write-verify retry budget per row write")
-	churnRate := flag.Float64("churn-rate", 0, "streaming-graph churn rate: fraction of edges mutated per epoch in [0,1] (0 = churn off)")
-	churnSeed := flag.Int64("churn-seed", 1, "seed for the deterministic churn streams")
-	refreshPolicy := flag.String("refresh-policy", "", "ISU plan refresh policy under churn: eager|threshold|adaptive (default threshold)")
+	ks := newKnobs()
+	ks.register(flag.CommandLine)
 	metricsPath := flag.String("metrics", "", "write a metrics snapshot to this file on exit (.csv/.json by extension, else text)")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON file (load in Perfetto)")
 	manifestPath := flag.String("manifest", "", "write the run manifest to this file (default: derived from -metrics/-trace-out)")
@@ -121,28 +115,13 @@ func main() {
 	if err != nil {
 		fatal(err.Error())
 	}
-	gopim.SetWorkers(*workers)
-	// The kernel knobs share the GOPIM_WORKERS convention (see below):
-	// invalid values warn and fall back rather than abort, and neither
-	// knob can change output bytes — -spmm picks among bitwise-equal
-	// kernels, -sim-memo only skips recomputation.
-	spmm.Configure(*spmmFlag)
-	simmemo.Configure(*simMemo)
+	// Knobs never abort the run: invalid values warn and fall back to
+	// their defaults (see knobs.go).
+	ks.resolve(os.Getenv)
+	ks.apply()
 
-	// Fault flags follow the GOPIM_WORKERS convention rather than the
-	// -format one: invalid values warn (via the obs warn path and the
-	// fault.flags_invalid counter) and fall back to safe defaults, so a
-	// long sweep never dies on a typo'd knob after hours of simulation.
-	faultModel := fault.FromFlags(*faultRate, *faultSeed, *faultVerifyMax)
-	fault.SetDefault(faultModel)
-
-	// Churn flags share that convention: a bad rate or policy warns,
-	// bumps churn.flags_invalid and falls back (rate → 0, policy →
-	// threshold) instead of aborting.
-	churnCfg := churn.FromFlags(*churnRate, *churnSeed, *refreshPolicy)
-
-	// Same principle for the observability outputs: open files and bind
-	// the debug listener before any experiment runs.
+	// As with -format, open the observability outputs and bind the
+	// debug listener before any experiment runs.
 	sess, err := startObsSession(obsFlags{
 		metricsPath:  *metricsPath,
 		tracePath:    *traceOut,
@@ -153,12 +132,7 @@ func main() {
 	if err != nil {
 		fatal(err.Error())
 	}
-	sess.setRunInfo(*seed, *workers, *format, *fast)
-	if faultModel.Enabled() {
-		cfg := faultModel.Config()
-		sess.setFaultInfo(cfg.Rate, cfg.Seed, cfg.VerifyMax)
-	}
-	sess.setChurnInfo(churnCfg.Rate, churnCfg.Seed, string(churnCfg.Policy))
+	sess.setRunInfo(*seed, int(ks.int("workers")), *format, *fast, ks.changed())
 
 	args := flag.Args()
 	if len(args) == 0 {
@@ -210,7 +184,7 @@ func main() {
 			fatal(err.Error())
 		}
 	case "churn":
-		if err := churnCmd(args[1:], *seed, *fast, churnCfg); err != nil {
+		if err := churnCmd(args[1:], *seed, *fast, ks.churnConfig()); err != nil {
 			fatal(err.Error())
 		}
 	case "bench":

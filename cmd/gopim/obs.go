@@ -12,7 +12,6 @@ import (
 
 	"gopim/internal/explain"
 	"gopim/internal/obs"
-	"gopim/internal/simmemo"
 	"gopim/internal/spmm"
 )
 
@@ -47,8 +46,9 @@ func (s *obsSession) addSimEvents(ev []obs.TraceEvent) {
 	}
 }
 
-// setRunInfo records the output-shaping knobs in the run manifest.
-func (s *obsSession) setRunInfo(seed int64, workers int, format string, fast bool) {
+// setRunInfo records the output-shaping settings in the run manifest;
+// knobs holds those off their defaults (nil leaves the key out).
+func (s *obsSession) setRunInfo(seed int64, workers int, format string, fast bool, knobs map[string]any) {
 	if s.manifest == nil {
 		return
 	}
@@ -56,30 +56,7 @@ func (s *obsSession) setRunInfo(seed int64, workers int, format string, fast boo
 	s.manifest.Workers = workers
 	s.manifest.Format = format
 	s.manifest.Fast = fast
-}
-
-// setFaultInfo records the active fault model's sanitised knobs in the
-// run manifest. No-op when faults are off, so default-run manifests
-// keep their pre-fault shape.
-func (s *obsSession) setFaultInfo(rate float64, seed int64, verifyMax int) {
-	if s.manifest == nil || rate <= 0 {
-		return
-	}
-	s.manifest.FaultRate = rate
-	s.manifest.FaultSeed = seed
-	s.manifest.FaultVerifyMax = verifyMax
-}
-
-// setChurnInfo records the sanitised streaming-churn knobs in the run
-// manifest. No-op when churn is off, so default-run manifests keep
-// their pre-churn shape.
-func (s *obsSession) setChurnInfo(rate float64, seed int64, policy string) {
-	if s.manifest == nil || rate <= 0 {
-		return
-	}
-	s.manifest.ChurnRate = rate
-	s.manifest.ChurnSeed = seed
-	s.manifest.RefreshPolicy = policy
+	s.manifest.Knobs = knobs
 }
 
 // setExplainInfo records the headline critical-path figures in the
@@ -94,24 +71,6 @@ func (s *obsSession) setExplainInfo(ex *explain.Result) {
 		s.manifest.ExplainCritShare = ex.Stages[ex.BottleneckStage].CritShare
 	}
 	s.manifest.ExplainEq6GapFrac = ex.Eq6GapFrac
-}
-
-// setKernelInfo drains the SpMM autotuner's provenance into the run
-// manifest at exit: the forced -spmm strategy (when not auto), the
-// per-graph choices the run resolved, and the -sim-memo knob when the
-// memo layer was off. All omitempty, so default-run manifests keep
-// their pre-autotuner shape.
-func (s *obsSession) setKernelInfo() {
-	if s.manifest == nil {
-		return
-	}
-	if f := spmm.Forced(); f != spmm.Auto {
-		s.manifest.SpMMStrategy = f.String()
-	}
-	s.manifest.SpMMChoices = spmm.Choices()
-	if !simmemo.Enabled() {
-		s.manifest.SimMemo = "off"
-	}
 }
 
 // startObsSession validates the observability flags and opens their
@@ -251,7 +210,9 @@ func (s *obsSession) finish() error {
 		keep(s.tracer.WriteSummary(os.Stderr))
 	}
 	if s.manifest != nil {
-		s.setKernelInfo()
+		// Autotuner provenance, drained at exit (nil when no graph
+		// resolved a strategy, keeping the key out).
+		s.manifest.SpMMChoices = spmm.Choices()
 		s.manifest.Finish()
 		keep(s.manifest.WriteFile(s.manifestPath()))
 	}

@@ -152,6 +152,7 @@ func RunExperimentsWithHooks(ids []string, opt ExperimentOptions, hooks Experime
 
 // SetWorkers overrides the worker-pool size every parallel kernel and
 // experiment fan-out runs at (the CLI's -workers flag). n < 1 restores
-// the default: GOPIM_WORKERS if set, else GOMAXPROCS. Output is
-// deterministic for a fixed seed regardless of this setting.
+// the default, GOMAXPROCS; the library never reads GOPIM_WORKERS, which
+// only the CLI resolves. Output is deterministic for a fixed seed
+// regardless of this setting.
 func SetWorkers(n int) { parallel.SetWorkers(n) }

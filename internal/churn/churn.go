@@ -26,7 +26,6 @@ import (
 	"sort"
 
 	"gopim/internal/graphgen"
-	"gopim/internal/obs"
 )
 
 // Policy selects how the ISU update plan reacts to degree drift.
@@ -400,29 +399,4 @@ func streamSeed(base, key, i int64) int64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return int64(z ^ (z >> 31))
-}
-
-// Flag-fallback metric, Wall-side like fault.flags_invalid: whether a
-// flag was mis-typed is a property of the invocation, not the
-// simulated workload.
-var mFlagsInvalid = obs.NewCounter("churn.flags_invalid", obs.Wall,
-	"invalid -churn-*/-refresh-policy flag values replaced by safe defaults")
-
-// FromFlags validates the CLI's churn flags before any experiment
-// runs, routing invalid values through the obs warn path + counter and
-// falling back to safe defaults — the GOPIM_WORKERS pattern: a typo
-// degrades the run, it never kills it.
-func FromFlags(rate float64, seed int64, policy string) Config {
-	if math.IsNaN(rate) || rate < 0 || rate > 1 {
-		mFlagsInvalid.Inc()
-		obs.Warnf("churn", "ignoring invalid -churn-rate %v (want a fraction in [0,1]); churn disabled", rate)
-		rate = 0
-	}
-	pol, err := ParsePolicy(policy)
-	if err != nil {
-		mFlagsInvalid.Inc()
-		obs.Warnf("churn", "ignoring invalid -refresh-policy %q (want eager, threshold or adaptive); using %q", policy, DefaultPolicy)
-		pol = DefaultPolicy
-	}
-	return Config{Rate: rate, Seed: seed, Policy: pol}.WithDefaults()
 }

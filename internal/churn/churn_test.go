@@ -226,20 +226,31 @@ func degreesInt(gs *GraphState) []int {
 	return append([]int(nil), gs.degs...)
 }
 
-// TestFromFlagsFallbacks: invalid flag values must degrade to safe
-// defaults, never abort.
+// TestFromFlagsFallbacks pins what the CLI's -churn-*/-refresh-policy
+// fallbacks rely on in this package (parsing, the warn line and the
+// counter live in cmd/gopim's knob table, see TestKnobTable): the rates
+// the table rejects fail Validate, its fallbacks (rate 0 and
+// DefaultPolicy) form a valid disabled config, and WithDefaults keeps
+// the valid fields.
 func TestFromFlagsFallbacks(t *testing.T) {
-	if cfg := FromFlags(7, 1, "eager"); cfg.Rate != 0 || cfg.Policy != Eager {
-		t.Fatalf("out-of-range rate not disabled: %+v", cfg)
+	for _, rate := range []float64{7, -0.1, math.NaN(), math.Inf(1)} {
+		if err := (Config{Rate: rate}).Validate(); err == nil {
+			t.Errorf("Validate accepted rate %v", rate)
+		}
 	}
-	if cfg := FromFlags(math.NaN(), 1, ""); cfg.Rate != 0 || cfg.Policy != DefaultPolicy {
-		t.Fatalf("NaN rate not disabled: %+v", cfg)
+	if _, err := ParsePolicy("bogus"); err == nil {
+		t.Fatal("ParsePolicy accepted a bad policy")
 	}
-	if cfg := FromFlags(0.05, 1, "bogus"); cfg.Rate != 0.05 || cfg.Policy != DefaultPolicy {
-		t.Fatalf("bad policy not defaulted: %+v", cfg)
+	if pol, err := ParsePolicy(""); err != nil || pol != DefaultPolicy {
+		t.Fatalf("ParsePolicy(\"\") = %q, %v; want %q", pol, err, DefaultPolicy)
 	}
-	if cfg := FromFlags(0.05, 9, "adaptive"); cfg.Rate != 0.05 || cfg.Seed != 9 ||
-		cfg.Policy != Adaptive || cfg.DriftThreshold != DefaultDriftThreshold || cfg.DaysPerEpoch != 1 {
+	cfg := Config{Seed: 1, Policy: DefaultPolicy}.WithDefaults()
+	if err := cfg.Validate(); err != nil || cfg.Enabled() {
+		t.Fatalf("fallback config %+v: err %v, enabled %v", cfg, err, cfg.Enabled())
+	}
+	cfg = Config{Rate: 0.05, Seed: 9, Policy: Adaptive}.WithDefaults()
+	if cfg.Rate != 0.05 || cfg.Seed != 9 || cfg.Policy != Adaptive ||
+		cfg.DriftThreshold != DefaultDriftThreshold || cfg.DaysPerEpoch != 1 {
 		t.Fatalf("valid flags mangled: %+v", cfg)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"gopim/internal/accel"
 	"gopim/internal/graphgen"
-	"gopim/internal/noc"
 	"gopim/internal/reram"
 	"gopim/internal/stage"
 )
@@ -65,9 +64,8 @@ func ablation(opt Options) (*Result, error) {
 	base := stage.Build(stage.Config{
 		Chip: reram.DefaultChip(), Dataset: d, Deg: deg, MicroBatch: 64,
 	})
-	params := noc.Default()
 	refined := stage.Build(stage.Config{
-		Chip: reram.DefaultChip(), Dataset: d, Deg: deg, MicroBatch: 64, NoC: &params,
+		Chip: reram.DefaultChip(), Dataset: d, Deg: deg, MicroBatch: 64, NoC: true,
 	})
 	for i := range base {
 		if base[i].Kind != stage.Aggregation {

@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 
 	"gopim/internal/endurance"
-	"gopim/internal/obs"
 )
 
 // DefaultVerifyMax is the write-verify retry budget when none is
@@ -394,32 +393,4 @@ func SetDefault(m *Model) {
 // Default returns the process-wide model, possibly nil.
 func Default() *Model {
 	return defaultModel.Load()
-}
-
-// Flag-fallback metrics, Wall-side like parallel.env_workers_invalid:
-// whether a flag was mis-typed is a property of the invocation, not
-// the simulated workload.
-var mFlagsInvalid = obs.NewCounter("fault.flags_invalid", obs.Wall,
-	"invalid -fault-* flag values replaced by safe defaults")
-
-// FromFlags validates the CLI's -fault-* values before any experiment
-// runs, routing invalid ones through the obs warn path + counter and
-// falling back to safe defaults — the GOPIM_WORKERS pattern: a typo
-// degrades the run, it never kills it. Returns nil when the (possibly
-// corrected) rate disables injection.
-func FromFlags(rate float64, seed int64, verifyMax int) *Model {
-	if math.IsNaN(rate) || rate < 0 || rate > 1 {
-		mFlagsInvalid.Inc()
-		obs.Warnf("fault", "ignoring invalid -fault-rate %v (want a probability in [0,1]); faults disabled", rate)
-		rate = 0
-	}
-	if verifyMax <= 0 {
-		mFlagsInvalid.Inc()
-		obs.Warnf("fault", "ignoring invalid -fault-verify-max %d (want a positive retry budget); using %d", verifyMax, DefaultVerifyMax)
-		verifyMax = DefaultVerifyMax
-	}
-	if rate == 0 {
-		return nil
-	}
-	return MustNew(Config{Rate: rate, Seed: seed, VerifyMax: verifyMax})
 }

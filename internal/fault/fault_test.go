@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"gopim/internal/endurance"
-	"gopim/internal/obs"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -210,23 +209,23 @@ func boolBytes(bs []bool) []byte {
 	return out
 }
 
+// TestFromFlagsFallbacks pins what the CLI's -fault-* fallbacks rely on
+// in this package (parsing, the warn line and the counter live in
+// cmd/gopim's knob table, see TestKnobTable): New rejects every rate
+// the table must not pass through, a zero rate builds a disabled
+// model, and a zero verify budget takes DefaultVerifyMax while the
+// valid fields survive.
 func TestFromFlagsFallbacks(t *testing.T) {
-	restore := obs.SetWarnOutput(&bytes.Buffer{})
-	defer restore()
-	if m := FromFlags(0, 1, 8); m != nil {
-		t.Fatal("rate 0 must return a nil (disabled) model")
+	for _, rate := range []float64{-0.5, 1.5, math.NaN(), math.Inf(1)} {
+		if _, err := New(Config{Rate: rate, Seed: 1, VerifyMax: DefaultVerifyMax}); err == nil {
+			t.Errorf("New accepted rate %v", rate)
+		}
 	}
-	if m := FromFlags(-0.5, 1, 8); m != nil {
-		t.Fatal("negative rate must fall back to disabled")
+	if MustNew(Config{Rate: 0, Seed: 1, VerifyMax: DefaultVerifyMax}).Enabled() {
+		t.Fatal("rate 0 must build a disabled model")
 	}
-	if m := FromFlags(1.5, 1, 8); m != nil {
-		t.Fatal("rate > 1 must fall back to disabled")
-	}
-	if m := FromFlags(math.NaN(), 1, 8); m != nil {
-		t.Fatal("NaN rate must fall back to disabled")
-	}
-	m := FromFlags(0.01, 3, 0) // zero verify budget → default
-	if m == nil || m.Config().VerifyMax != DefaultVerifyMax {
+	m := MustNew(Config{Rate: 0.01, Seed: 3})
+	if m.Config().VerifyMax != DefaultVerifyMax {
 		t.Fatalf("zero verify budget must fall back to %d, got %+v", DefaultVerifyMax, m.Config())
 	}
 	if m.Config().Rate != 0.01 || m.Config().Seed != 3 {

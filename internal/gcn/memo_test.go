@@ -4,6 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"gopim/internal/fault"
+	"gopim/internal/keycheck"
+	"gopim/internal/mapping"
 	"gopim/internal/obs"
 	"gopim/internal/simmemo"
 )
@@ -74,4 +77,29 @@ func TestTrainMemoDisabledAndKeyless(t *testing.T) {
 	if h := trainCache.Hits(); h != 0 {
 		t.Fatalf("keyless TrainMemo must bypass the cache, saw %d hits", h)
 	}
+}
+
+// TestFingerprintCoversConfig guards the training memo key: every
+// Config field must change fingerprint() when perturbed, so a field
+// added without extending the key fails here instead of silently
+// reusing a stale training cell.
+func TestFingerprintCoversConfig(t *testing.T) {
+	base := Config{
+		Epochs: 3, LR: 0.01, Dropout: 0.5, Seed: 1, QuantBits: 16,
+		Plan: &mapping.UpdatePlan{Important: []bool{true, false}, Theta: 0.5, StalePeriod: 2},
+	}
+	faulty := func(cfg fault.Config) func(*Config) {
+		return func(c *Config) { c.Fault = fault.MustNew(cfg) }
+	}
+	keycheck.Check(t, base, Config.fingerprint, nil, map[string][]func(*Config){
+		// *fault.Model hides its Config; the key prints it in full.
+		"Fault": {
+			faulty(fault.Config{Rate: 0.01, Seed: 1}),
+			faulty(fault.Config{Rate: 0.02, Seed: 1}),
+			faulty(fault.Config{Rate: 0.01, Seed: 2}),
+			faulty(fault.Config{Rate: 0.01, Seed: 1, VerifyMax: 3}),
+			faulty(fault.Config{Rate: 0.01, Seed: 1, RetireThreshold: 0.5}),
+			faulty(fault.Config{Rate: 0.01, Seed: 1, WearWritesPerCell: 1e9}),
+		},
+	})
 }

@@ -34,35 +34,23 @@ type Manifest struct {
 	GOOS        string   `json:"goos"`
 	GOARCH      string   `json:"goarch"`
 	GitDescribe string   `json:"git_describe,omitempty"`
-	// Fault-injection knobs (-fault-rate/-fault-seed/-fault-verify-max),
-	// recorded only when a fault model is active: a default run's
-	// manifest must stay byte-stable across the fault feature's
-	// introduction, so all three omit when empty.
-	FaultRate      float64 `json:"fault_rate,omitempty"`
-	FaultSeed      int64   `json:"fault_seed,omitempty"`
-	FaultVerifyMax int     `json:"fault_verify_max,omitempty"`
+	// Knobs records every CLI knob whose resolved value differs from
+	// its default, keyed by manifest name (fault_rate, spmm_strategy,
+	// refresh_policy, ...). Omitted when empty, so a default run's
+	// manifest keeps its shape.
+	Knobs map[string]any `json:"knobs,omitempty"`
 	// Critical-path headline figures (`gopim explain`), recorded only
 	// when an explain analysis ran this invocation — same omitempty
-	// byte-stability contract as the fault keys.
+	// byte-stability contract as the knobs.
 	ExplainBottleneck string  `json:"explain_bottleneck,omitempty"`
 	ExplainCritShare  float64 `json:"explain_crit_share,omitempty"`
 	ExplainEq6GapFrac float64 `json:"explain_eq6_gap_frac,omitempty"`
-	// SpMM autotuner provenance: the forced strategy (-spmm, only when
-	// not auto) and the per-graph choices the run's training aggregations
-	// resolved to. SimMemo records the -sim-memo knob only when the memo
-	// layer was disabled. All omit when empty — the same byte-stability
-	// contract as the fault keys above.
-	SpMMStrategy string            `json:"spmm_strategy,omitempty"`
-	SpMMChoices  map[string]string `json:"spmm_choices,omitempty"`
-	SimMemo      string            `json:"sim_memo,omitempty"`
-	// Streaming-churn knobs (-churn-rate/-churn-seed/-refresh-policy),
-	// recorded only when churn is enabled — same omitempty byte-stability
-	// contract as the fault keys.
-	ChurnRate     float64 `json:"churn_rate,omitempty"`
-	ChurnSeed     int64   `json:"churn_seed,omitempty"`
-	RefreshPolicy string  `json:"refresh_policy,omitempty"`
-	StartedAt         time.Time `json:"started_at"`
-	WallMS            float64   `json:"wall_ms"`
+	// SpMMChoices is the SpMM autotuner's provenance: the per-graph
+	// strategies the run's training aggregations resolved to. Omitted
+	// when empty, like the explain keys.
+	SpMMChoices map[string]string `json:"spmm_choices,omitempty"`
+	StartedAt   time.Time         `json:"started_at"`
+	WallMS      float64           `json:"wall_ms"`
 	// HeapAllocBytes and GCCount snapshot runtime.MemStats when Finish
 	// runs: live heap bytes and cumulative GC cycles for the process.
 	// Wall-side provenance, like WallMS — never part of Sim diffs.

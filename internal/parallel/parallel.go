@@ -1,6 +1,6 @@
 // Package parallel is GoPIM's deterministic worker-pool layer: a
 // bounded pool of goroutines sized by GOMAXPROCS (overridable with
-// SetWorkers or the GOPIM_WORKERS environment variable) behind two
+// SetWorkers) behind two
 // primitives — For, a blocked parallel-for over an index range, and
 // Map, an ordered fan-out that collects results in input order.
 //
@@ -23,10 +23,7 @@
 package parallel
 
 import (
-	"fmt"
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -49,60 +46,16 @@ var (
 		"times a For call stopped spawning because the budget was exhausted")
 	mHelperBusy = obs.NewTimer("parallel.helper_busy_ns",
 		"per-helper wall time from spawn to drain (worker occupancy)")
-	mEnvInvalid = obs.NewCounter("parallel.env_workers_invalid", obs.Wall,
-		"GOPIM_WORKERS values rejected, falling back to GOMAXPROCS")
 )
 
 // overrideWorkers holds the SetWorkers value; 0 means "not set".
 var overrideWorkers atomic.Int32
 
-// envWorkers caches the GOPIM_WORKERS value, parsed once.
-var (
-	envOnce    sync.Once
-	envWorkers int
-)
-
-// parseWorkers validates a GOPIM_WORKERS value: a positive integer.
-func parseWorkers(v string) (int, error) {
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("want a positive integer, got %q", v)
-	}
-	return n, nil
-}
-
-func envWorkerCount() int {
-	envOnce.Do(func() {
-		v := os.Getenv("GOPIM_WORKERS")
-		if v == "" {
-			return
-		}
-		n, err := parseWorkers(v)
-		if err != nil {
-			rejectEnvWorkers(v)
-			return
-		}
-		envWorkers = n
-	})
-	return envWorkers
-}
-
-// rejectEnvWorkers reports an unusable GOPIM_WORKERS value through the
-// structured warn path and counts the GOMAXPROCS fallback.
-func rejectEnvWorkers(v string) {
-	mEnvInvalid.Inc()
-	obs.Warnf("parallel", "ignoring invalid GOPIM_WORKERS=%q (want a positive integer); using GOMAXPROCS", v)
-}
-
-// Workers returns the worker count parallel kernels run at:
-// the SetWorkers override if set, else GOPIM_WORKERS if set,
-// else GOMAXPROCS.
+// Workers returns the worker count parallel kernels run at: the
+// SetWorkers override if set, else GOMAXPROCS.
 func Workers() int {
 	if n := overrideWorkers.Load(); n > 0 {
 		return int(n)
-	}
-	if n := envWorkerCount(); n > 0 {
-		return n
 	}
 	return runtime.GOMAXPROCS(0)
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -104,88 +103,67 @@ func TestForPropagatesPanic(t *testing.T) {
 	}
 }
 
+// TestParseWorkers pins how SetWorkers reads the count the CLI parsed
+// from -workers/GOPIM_WORKERS (the text itself is parsed by the knob
+// table in cmd/gopim): a positive count applies, while 0 or a negative
+// count removes the override and leaves GOMAXPROCS.
 func TestParseWorkers(t *testing.T) {
-	for _, tc := range []struct {
-		in string
-		ok bool
-	}{
-		{"1", true}, {"16", true},
-		{"0", false}, {"-2", false}, {"abc", false}, {"1.5", false}, {"", false},
+	defer SetWorkers(0)
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ in, want int }{
+		{1, 1}, {16, 16}, {0, procs}, {-2, procs},
 	} {
-		_, err := parseWorkers(tc.in)
-		if (err == nil) != tc.ok {
-			t.Errorf("parseWorkers(%q) err = %v, want ok=%v", tc.in, err, tc.ok)
+		SetWorkers(7)
+		SetWorkers(tc.in)
+		if got := Workers(); got != tc.want {
+			t.Errorf("SetWorkers(%d): Workers() = %d, want %d", tc.in, got, tc.want)
 		}
 	}
 }
 
-// Invalid GOPIM_WORKERS values must flow through the structured warn
-// path — counted in the registry and attributed to this package —
-// instead of a bare stderr write.
+// An invalid GOPIM_WORKERS is warned about and counted once, by the
+// CLI's knob table (cmd/gopim TestKnobTable pins the warn line and
+// gopim.knobs_invalid). The library stays silent and registers no
+// rejection counter of its own, so a bad value is never reported twice.
 func TestRejectEnvWorkersWarnsAndCounts(t *testing.T) {
-	var buf bytes.Buffer
-	restore := obs.SetWarnOutput(&buf)
-	defer restore()
-	before := mEnvInvalid.Value()
-	rejectEnvWorkers("banana")
-	if mEnvInvalid.Value() != before+1 {
-		t.Fatal("fallback not counted in the registry")
-	}
-	out := buf.String()
-	if !strings.Contains(out, "[parallel]") || !strings.Contains(out, `GOPIM_WORKERS="banana"`) {
-		t.Fatalf("warn output = %q", out)
-	}
-}
-
-// resetEnvCache clears the parsed-once GOPIM_WORKERS state so a test
-// can exercise envWorkerCount with its own environment, restoring the
-// pristine cache afterwards so test order doesn't matter.
-func resetEnvCache(t *testing.T) {
-	t.Helper()
-	envOnce = sync.Once{}
-	envWorkers = 0
-	t.Cleanup(func() {
-		envOnce = sync.Once{}
-		envWorkers = 0
-	})
-}
-
-// An invalid GOPIM_WORKERS must warn once, count the rejection, and
-// leave Workers() on the GOMAXPROCS fallback — not crash or silently
-// misparse.
-func TestInvalidEnvWorkersFallsBack(t *testing.T) {
-	resetEnvCache(t)
 	t.Setenv("GOPIM_WORKERS", "banana")
 	var buf bytes.Buffer
 	restore := obs.SetWarnOutput(&buf)
 	defer restore()
-	before := mEnvInvalid.Value()
-	if got, want := Workers(), runtime.GOMAXPROCS(0); got != want {
-		t.Errorf("Workers() = %d with invalid env, want GOMAXPROCS %d", got, want)
-	}
-	if mEnvInvalid.Value() != before+1 {
-		t.Error("invalid GOPIM_WORKERS not counted")
-	}
-	if !strings.Contains(buf.String(), `GOPIM_WORKERS="banana"`) {
-		t.Errorf("warn output = %q", buf.String())
-	}
-	// The value is parsed once: a second lookup must not warn again.
 	Workers()
-	if mEnvInvalid.Value() != before+1 {
-		t.Error("rejection re-counted on cached lookup")
+	if buf.Len() != 0 {
+		t.Fatalf("library warned on its own: %q", buf.String())
+	}
+	for _, m := range obs.Default().Metrics() {
+		if strings.HasPrefix(m.Name(), "parallel.") && strings.Contains(m.Name(), "invalid") {
+			t.Errorf("library-side rejection counter %s is registered", m.Name())
+		}
 	}
 }
 
-func TestValidEnvWorkersApplies(t *testing.T) {
-	resetEnvCache(t)
-	t.Setenv("GOPIM_WORKERS", "5")
-	if got := Workers(); got != 5 {
-		t.Errorf("Workers() = %d with GOPIM_WORKERS=5", got)
+// An invalid GOPIM_WORKERS leaves Workers() on the GOMAXPROCS default,
+// on every lookup: the library never parses the variable.
+func TestInvalidEnvWorkersFallsBack(t *testing.T) {
+	t.Setenv("GOPIM_WORKERS", "banana")
+	for i := 0; i < 2; i++ {
+		if got, want := Workers(), runtime.GOMAXPROCS(0); got != want {
+			t.Errorf("Workers() = %d with invalid env, want GOMAXPROCS %d", got, want)
+		}
 	}
-	// An explicit SetWorkers override still wins over the environment.
-	withWorkers(t, 2, func() {
-		if got := Workers(); got != 2 {
-			t.Errorf("Workers() = %d, want SetWorkers override 2", got)
+}
+
+// A valid GOPIM_WORKERS applies through SetWorkers, the call the CLI
+// makes once it has resolved the knob. The library does not read the
+// variable itself, so tests, examples and other embedders keep
+// GOMAXPROCS until they call SetWorkers.
+func TestValidEnvWorkersApplies(t *testing.T) {
+	t.Setenv("GOPIM_WORKERS", "5")
+	if got, want := Workers(), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("Workers() = %d with GOPIM_WORKERS=5 and no SetWorkers, want GOMAXPROCS %d", got, want)
+	}
+	withWorkers(t, 5, func() {
+		if got := Workers(); got != 5 {
+			t.Errorf("Workers() = %d after the CLI's SetWorkers(5)", got)
 		}
 	})
 }

@@ -211,7 +211,8 @@ func TestMetricsNegotiation(t *testing.T) {
 // with status/cache/label fields, and WARN lines for shed requests.
 func TestAccessLogJoinsTraces(t *testing.T) {
 	var buf bytes.Buffer
-	srv := New(Config{AccessLog: obs.NewAccessLogger(&syncBuffer{buf: &buf})})
+	srv := New(Config{Workers: 1, QueueDepth: -1,
+		AccessLog: obs.NewAccessLogger(&syncBuffer{buf: &buf})})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

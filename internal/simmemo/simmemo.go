@@ -36,7 +36,6 @@
 package simmemo
 
 import (
-	"os"
 	"sync"
 	"sync/atomic"
 
@@ -56,52 +55,6 @@ func Enabled() bool { return !disabled.Load() }
 // knob). Turning it off makes every Do call compute inline and record
 // nothing, restoring pre-memo behaviour exactly.
 func SetEnabled(on bool) { disabled.Store(!on) }
-
-// mFlagsInvalid counts rejected -sim-memo/GOPIM_SIM_MEMO values.
-// Wall-clock: whether the environment was malformed is a property of
-// the invocation, not the simulation (same reasoning as
-// parallel.env_workers_invalid).
-var mFlagsInvalid = obs.NewCounter("simmemo.flags_invalid", obs.Wall,
-	"invalid -sim-memo/GOPIM_SIM_MEMO values rejected (warn + fallback to on)")
-
-// EnvVar is the environment fallback consulted when the -sim-memo flag
-// is left empty, mirroring GOPIM_WORKERS.
-const EnvVar = "GOPIM_SIM_MEMO"
-
-// Configure applies the -sim-memo flag value, falling back to the
-// GOPIM_SIM_MEMO environment variable when the flag is empty. Invalid
-// values warn through the obs warn path, bump simmemo.flags_invalid,
-// and leave the default (on) — never an error, matching the
-// GOPIM_WORKERS contract.
-func Configure(flagVal string) {
-	src := "-sim-memo"
-	v := flagVal
-	if v == "" {
-		v = os.Getenv(EnvVar)
-		src = EnvVar
-		if v == "" {
-			return
-		}
-	}
-	on, ok := parseBool(v)
-	if !ok {
-		mFlagsInvalid.Inc()
-		obs.Warnf("simmemo", "ignoring invalid %s=%q (want on|off); memoization stays on", src, v)
-		return
-	}
-	SetEnabled(on)
-}
-
-// parseBool accepts the on/off vocabulary the CLI documents.
-func parseBool(v string) (on, ok bool) {
-	switch v {
-	case "on", "true", "1", "yes":
-		return true, true
-	case "off", "false", "0", "no":
-		return false, true
-	}
-	return false, false
-}
 
 // Cache is one named memo domain: a singleflight LRU plus its Sim-clock
 // hit/miss counters. Construct with NewCache at package init so counter

@@ -10,8 +10,8 @@
 // bitwise-equal to the serial reference at any worker count — see
 // strategies.go). This package owns the policy around the kernels:
 //
-//   - Strategy names and the -spmm/GOPIM_SPMM knob (Auto by default;
-//     forcing a named strategy applies it to every graph).
+//   - Strategy names and the global override (SetForced; Auto by
+//     default, forcing a named strategy applies it to every graph).
 //   - Select: a cheap analytic cost model over sparsemat.Stats (rows,
 //     NNZ, degree skew) in the same features→time spirit as the
 //     internal/predictor stage-latency models, but evaluated inline —
@@ -24,7 +24,6 @@
 package spmm
 
 import (
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -73,43 +72,11 @@ func Parse(v string) (Strategy, bool) {
 // forced holds the global -spmm override; Auto means "let Select pick".
 var forced atomic.Uint32
 
-// SetForced sets the global strategy override (the -spmm knob).
+// SetForced sets the global strategy override (the CLI's -spmm knob).
 func SetForced(s Strategy) { forced.Store(uint32(s)) }
 
 // Forced returns the global override, Auto when none.
 func Forced() Strategy { return Strategy(forced.Load()) }
-
-// mFlagsInvalid counts rejected -spmm/GOPIM_SPMM values. Wall-clock,
-// like parallel.env_workers_invalid: a malformed environment is a
-// property of the invocation, not the simulation.
-var mFlagsInvalid = obs.NewCounter("spmm.flags_invalid", obs.Wall,
-	"invalid -spmm/GOPIM_SPMM values rejected (warn + fallback to auto)")
-
-// EnvVar is the environment fallback consulted when -spmm is empty.
-const EnvVar = "GOPIM_SPMM"
-
-// Configure applies the -spmm flag value, falling back to GOPIM_SPMM
-// when the flag is empty. Invalid values warn, bump
-// spmm.flags_invalid, and keep auto — never an error (the
-// GOPIM_WORKERS contract).
-func Configure(flagVal string) {
-	src := "-spmm"
-	v := flagVal
-	if v == "" {
-		v = os.Getenv(EnvVar)
-		src = EnvVar
-		if v == "" {
-			return
-		}
-	}
-	s, ok := Parse(v)
-	if !ok {
-		mFlagsInvalid.Inc()
-		obs.Warnf("spmm", "ignoring invalid %s=%q (want auto|row|blocked|bucketed|edge); using auto", src, v)
-		return
-	}
-	SetForced(s)
-}
 
 // Selector thresholds, in terms of sparsemat.Stats. Calibrated on the
 // kernels micro-suite (BenchmarkSpMMStrategies / `gopim bench -suite

@@ -1,12 +1,9 @@
 package spmm
 
 import (
-	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 
-	"gopim/internal/obs"
 	"gopim/internal/sparsemat"
 	"gopim/internal/tensor"
 )
@@ -26,46 +23,30 @@ func TestParseRoundTrips(t *testing.T) {
 	}
 }
 
-// TestConfigure pins the knob contract: valid values force a strategy,
-// invalid ones warn + count + keep auto, the env var backs the flag.
+// TestConfigure pins the library half of the -spmm/GOPIM_SPMM knob
+// (flag/env resolution, the warn line and the counter are the CLI's,
+// see cmd/gopim TestKnobTable): every name Parse accepts forces its
+// strategy through SetForced, a rejected name yields Auto, which is the
+// fallback the CLI applies, and SetForced(Auto) restores selection.
 func TestConfigure(t *testing.T) {
 	defer SetForced(Auto)
-	var warnings bytes.Buffer
-	restore := obs.SetWarnOutput(&warnings)
-	defer restore()
-
-	SetForced(Auto)
-	t.Setenv(EnvVar, "")
-	Configure("bucketed")
-	if Forced() != Bucketed {
-		t.Fatalf("Forced() = %v, want bucketed", Forced())
+	for _, name := range []string{"row", "blocked", "bucketed", "edge"} {
+		s, ok := Parse(name)
+		if !ok {
+			t.Fatalf("Parse(%q) rejected a documented strategy", name)
+		}
+		SetForced(s)
+		if Forced() != s || Forced().String() != name {
+			t.Fatalf("Forced() = %v after forcing %q", Forced(), name)
+		}
 	}
-
-	SetForced(Auto)
-	before := mFlagsInvalid.Value()
-	Configure("fast")
+	s, ok := Parse("fast")
+	if ok || s != Auto {
+		t.Fatalf("Parse(\"fast\") = %v, %v; want auto, false", s, ok)
+	}
+	SetForced(s)
 	if Forced() != Auto {
-		t.Fatal("invalid -spmm must keep auto")
-	}
-	if mFlagsInvalid.Value() != before+1 {
-		t.Fatal("invalid -spmm must bump spmm.flags_invalid")
-	}
-	if !strings.Contains(warnings.String(), "spmm") {
-		t.Fatalf("expected a warning naming the knob, got %q", warnings.String())
-	}
-
-	SetForced(Auto)
-	t.Setenv(EnvVar, "edge")
-	Configure("")
-	if Forced() != Edge {
-		t.Fatalf("empty flag must fall back to %s, got %v", EnvVar, Forced())
-	}
-
-	SetForced(Auto)
-	t.Setenv(EnvVar, "row")
-	Configure("blocked")
-	if Forced() != Blocked {
-		t.Fatal("the flag must win over the environment")
+		t.Fatalf("Forced() = %v after the fallback, want auto", Forced())
 	}
 }
 

@@ -31,7 +31,6 @@ import (
 
 	"gopim/internal/graphgen"
 	"gopim/internal/mapping"
-	"gopim/internal/noc"
 	"gopim/internal/reram"
 )
 
@@ -122,11 +121,11 @@ type Config struct {
 	// vertices, trading the reload write traffic above for much faster
 	// aggregation compute.
 	AGMVMSpeedup float64
-	// NoC, when non-nil, adds the inter-tile interconnect overhead of
-	// aggregation (adder-tree reduction + pipeline-bus streaming,
-	// paper §IV-A) to AG stage times. The default calibration subsumes
-	// average interconnect cost, so this refinement is opt-in.
-	NoC *noc.Params
+	// NoC adds the inter-tile interconnect overhead of aggregation
+	// (adder-tree reduction + pipeline-bus streaming, paper §IV-A) to
+	// AG stage times. The default calibration subsumes average
+	// interconnect cost, so this refinement is opt-in.
+	NoC bool
 }
 
 // LayerDims returns the (in, out) channel widths of layer l (1-based)
@@ -337,9 +336,9 @@ func buildAG(cfg Config, l int, activeBlocks float64) Stage {
 	}
 
 	var nocNS float64
-	if cfg.NoC != nil {
-		tiles := noc.TilesForCrossbars(xbars, c.PEsPerTile*c.CrossbarsPerPE)
-		nocNS = cfg.NoC.AggregationOverheadNS(cfg.MicroBatch, out, tiles)
+	if cfg.NoC {
+		tiles := tilesForCrossbars(xbars, c.PEsPerTile*c.CrossbarsPerPE)
+		nocNS = aggregationOverheadNS(cfg.MicroBatch, out, tiles)
 	}
 
 	return Stage{
@@ -354,6 +353,40 @@ func buildAG(cfg Config, l int, activeBlocks float64) Stage {
 		ReadOps:    b * effBlocks * segs,
 		WriteRows:  writeRows,
 	}
+}
+
+// Inter-tile interconnect of paper §IV-A: "ReRAM tiles are connected
+// through adders and pipeline bus to support the inter-tile data
+// Aggregation and transmission". An AG stage whose mapped feature
+// matrix spans several tiles merges partial sums through a binary
+// adder tree and streams each output vector over the bus once. The
+// constants match the Table II chip: a 2 GHz bus moving 32 bytes per
+// cycle, 0.5 ns per adder/bus hop.
+const (
+	nocHopNS         = 0.5
+	nocBusBytesPerNS = 64.0
+)
+
+// adderTreeDepth is the depth of the binary tree merging partial sums
+// from `tiles` tiles (0 for a single tile).
+func adderTreeDepth(tiles int) int {
+	if tiles <= 1 {
+		return 0
+	}
+	return int(math.Ceil(math.Log2(float64(tiles))))
+}
+
+// aggregationOverheadNS is the per-micro-batch interconnect cost of an
+// AG stage: each of the b output vectors (outDim 16-bit values) merges
+// across the tiles the mapped feature matrix spans — tree depth × hop
+// latency — and streams through the bus once.
+func aggregationOverheadNS(b, outDim, tiles int) float64 {
+	return float64(b) * (float64(adderTreeDepth(tiles))*nocHopNS + float64(outDim*2)/nocBusBytesPerNS)
+}
+
+// tilesForCrossbars converts a crossbar footprint to a tile span.
+func tilesForCrossbars(crossbars, crossbarsPerTile int) int {
+	return (crossbars + crossbarsPerTile - 1) / crossbarsPerTile
 }
 
 func buildLC(cfg Config, l int) Stage {
