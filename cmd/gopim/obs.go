@@ -13,6 +13,7 @@ import (
 	"gopim/internal/explain"
 	"gopim/internal/obs"
 	"gopim/internal/spmm"
+	"gopim/internal/tensor"
 )
 
 // obsFlags carries the CLI's observability switches.
@@ -117,6 +118,7 @@ func startObsSession(f obsFlags, args []string) (*obsSession, error) {
 		}
 		probe.Close()
 		s.manifest = obs.NewManifest(args)
+		s.manifest.TensorKernel = tensor.Kernel()
 	}
 	return s, nil
 }

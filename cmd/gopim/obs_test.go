@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gopim/internal/obs"
+	"gopim/internal/tensor"
 )
 
 // resetObs restores global observability state a session mutated.
@@ -238,6 +239,9 @@ func TestObsSessionFinishWritesArtifacts(t *testing.T) {
 	}
 	if !strings.Contains(string(manifest), `"fig0"`) {
 		t.Errorf("manifest missing experiment record:\n%s", manifest)
+	}
+	if want := `"tensor_kernel": "` + tensor.Kernel() + `"`; !strings.Contains(string(manifest), want) {
+		t.Errorf("manifest missing %s:\n%s", want, manifest)
 	}
 }
 

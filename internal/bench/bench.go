@@ -34,6 +34,7 @@ import (
 	"gopim/internal/graphgen"
 	"gopim/internal/obs"
 	"gopim/internal/parallel"
+	"gopim/internal/tensor"
 )
 
 // Schema is the BENCH file format version; bump it on any breaking
@@ -293,6 +294,7 @@ func Run(cfg Config) (*File, error) {
 	f.Manifest.Seed = cfg.Seed
 	f.Manifest.Fast = cfg.Fast
 	f.Manifest.Format = "bench"
+	f.Manifest.TensorKernel = tensor.Kernel()
 
 	simMatrix := func() error {
 		type pair struct {

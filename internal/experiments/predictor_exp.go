@@ -6,6 +6,7 @@ import (
 	"gopim/internal/accel"
 	"gopim/internal/graphgen"
 	"gopim/internal/obs"
+	"gopim/internal/parallel"
 	"gopim/internal/predictor"
 	"gopim/internal/reram"
 	"gopim/internal/singleflight"
@@ -82,10 +83,16 @@ func fig9(opt Options) (*Result, error) {
 		Header: []string{"variant", "model", "RMSE"},
 	}
 
+	// One cell per table row, in display order.
+	type cell struct {
+		axis, label, variant string
+		mk                   func() predictor.Regressor
+	}
+	var cells []cell
+
 	// (a) model families.
 	for _, m := range predictor.Fig9Models() {
-		rmse := predictor.ModelRMSECached(specKey+"|"+predictor.VariantKey("family:"+m.Name, m.New), m.New, train, test)
-		res.Rows = append(res.Rows, []string{"(a) family", m.Name, fmtF(rmse)})
+		cells = append(cells, cell{"(a) family", m.Name, "family:" + m.Name, m.New})
 	}
 
 	// (b) MLP depth sweep 2–6 total layers.
@@ -95,9 +102,8 @@ func fig9(opt Options) (*Result, error) {
 	}
 	for _, depth := range depths {
 		d := depth
-		mk := func() predictor.Regressor { return predictor.MLPWithDepth(d) }
-		rmse := predictor.ModelRMSECached(specKey+"|"+predictor.VariantKey(fmt.Sprintf("depth:%d", d), mk), mk, train, test)
-		res.Rows = append(res.Rows, []string{"(b) depth", fmt.Sprintf("%d layers", d), fmtF(rmse)})
+		cells = append(cells, cell{"(b) depth", fmt.Sprintf("%d layers", d), fmt.Sprintf("depth:%d", d),
+			func() predictor.Regressor { return predictor.MLPWithDepth(d) }})
 	}
 
 	// (c) hidden width sweep for the 3-layer MLP.
@@ -107,9 +113,20 @@ func fig9(opt Options) (*Result, error) {
 	}
 	for _, width := range widths {
 		w := width
-		mk := func() predictor.Regressor { return predictor.MLPWithWidth(w) }
-		rmse := predictor.ModelRMSECached(specKey+"|"+predictor.VariantKey(fmt.Sprintf("width:%d", w), mk), mk, train, test)
-		res.Rows = append(res.Rows, []string{"(c) width", fmt.Sprintf("%d neurons", w), fmtF(rmse)})
+		cells = append(cells, cell{"(c) width", fmt.Sprintf("%d neurons", w), fmt.Sprintf("width:%d", w),
+			func() predictor.Regressor { return predictor.MLPWithWidth(w) }})
+	}
+
+	// Cells are independent (models seed themselves), so they fan out
+	// across workers as predictor.FeatureAblation does. Cells that name
+	// the same model share one memo entry; a coalesced wait counts as a
+	// hit, so the Sim totals match a serial sweep.
+	rmses := parallel.Map(len(cells), func(i int) float64 {
+		c := cells[i]
+		return predictor.ModelRMSECached(specKey+"|"+predictor.VariantKey(c.variant, c.mk), c.mk, train, test)
+	})
+	for i, c := range cells {
+		res.Rows = append(res.Rows, []string{c.axis, c.label, fmtF(rmses[i])})
 	}
 
 	res.Notes = append(res.Notes,

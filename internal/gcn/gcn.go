@@ -175,11 +175,14 @@ func (s *adamState) step(ws, grads []*tensor.Matrix) {
 	s.t++
 	c1 := 1 - math.Pow(b1, float64(s.t))
 	c2 := 1 - math.Pow(b2, float64(s.t))
+	// float64(·) keeps each product separately rounded: the Go spec
+	// lets compilers fuse x*y + z into one FMA (arm64 does), which
+	// would change bits across hosts. loss.go does the same.
 	for i, w := range ws {
 		g := grads[i]
 		for j := range w.Data {
-			s.m[i].Data[j] = b1*s.m[i].Data[j] + (1-b1)*g.Data[j]
-			s.v[i].Data[j] = b2*s.v[i].Data[j] + (1-b2)*g.Data[j]*g.Data[j]
+			s.m[i].Data[j] = float64(b1*s.m[i].Data[j]) + float64((1-b1)*g.Data[j])
+			s.v[i].Data[j] = float64(b2*s.v[i].Data[j]) + float64((1-b2)*g.Data[j]*g.Data[j])
 			w.Data[j] -= s.lr * (s.m[i].Data[j] / c1) / (math.Sqrt(s.v[i].Data[j]/c2) + eps)
 		}
 	}
@@ -204,9 +207,9 @@ type workspace struct {
 	hidden     []*tensor.Matrix // nil for the last layer
 
 	// Backward buffers.
-	dC     []*tensor.Matrix // n × dims[l+1]: Âᵀ·dA
-	dIn    []*tensor.Matrix // n × dims[l]: dC·Wᵀ flowing into layer l-1; nil for l == 0
-	grads  []*tensor.Matrix // dims[l] × dims[l+1]
+	dC    []*tensor.Matrix // n × dims[l+1]: Âᵀ·dA
+	dIn   []*tensor.Matrix // n × dims[l]: dC·Wᵀ flowing into layer l-1; nil for l == 0
+	grads []*tensor.Matrix // dims[l] × dims[l+1]
 
 	// Loss scratch (n × dims[last]).
 	dOut  *tensor.Matrix
@@ -710,10 +713,9 @@ func (ws *workspace) backward(fw *forwardState, weights []*tensor.Matrix, dOut *
 		}
 		// A = Â·C → dC = Âᵀ·dA.
 		spmm.MulInto(ws.strat, ws.adjT, ws.dC[l], dA)
-		// C = H·W → dW = Hᵀ·dC, dH = dC·Wᵀ, both through the
-		// transpose-fused kernels: the per-element accumulation order is
-		// the historic transpose-then-multiply one, without rebuilding
-		// Hᵀ/Wᵀ every epoch.
+		// C = H·W → dW = Hᵀ·dC, dH = dC·Wᵀ, through MatMulTNInto and
+		// MatMulNTInto: the per-element accumulation order is the
+		// historic transpose-then-multiply one.
 		tensor.MatMulTNInto(ws.grads[l], fw.inputs[l], ws.dC[l])
 		if l > 0 {
 			tensor.MatMulNTInto(ws.dIn[l], ws.dC[l], weights[l])

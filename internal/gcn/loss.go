@@ -44,7 +44,7 @@ func nodeLossGradInto(probs, grad *tensor.Matrix, logits *tensor.Matrix, labels 
 		if p < 1e-12 {
 			p = 1e-12
 		}
-		loss -= math.Log(p) * inv
+		loss -= float64(math.Log(p) * inv)
 		grow := grad.Row(v)
 		prow := probs.Row(v)
 		for c := range grow {
@@ -99,7 +99,7 @@ func linkLossGradInto(rng *rand.Rand, grad *tensor.Matrix, emb *tensor.Matrix, g
 		zu, zv := emb.Row(u), emb.Row(v)
 		var dot float64
 		for i := range zu {
-			dot += zu[i] * zv[i]
+			dot += float64(zu[i] * zv[i])
 		}
 		p := 1 / (1 + math.Exp(-dot))
 		eps := 1e-12
@@ -111,8 +111,8 @@ func linkLossGradInto(rng *rand.Rand, grad *tensor.Matrix, emb *tensor.Matrix, g
 		coef := p - target
 		gu, gv := grad.Row(u), grad.Row(v)
 		for i := range zu {
-			gu[i] += coef * zv[i]
-			gv[i] += coef * zu[i]
+			gu[i] += float64(coef * zv[i])
+			gv[i] += float64(coef * zu[i])
 		}
 		samples++
 	}
@@ -151,7 +151,7 @@ func linkAccuracy(emb *tensor.Matrix, pos, neg [][2]int) float64 {
 		zu, zv := emb.Row(e[0]), emb.Row(e[1])
 		var dot float64
 		for i := range zu {
-			dot += zu[i] * zv[i]
+			dot += float64(zu[i] * zv[i])
 		}
 		return dot
 	}

@@ -139,16 +139,16 @@ func (n *Net) backwardWS(ws *netWorkspace, target *tensor.Matrix) (float64, grad
 	delta.SubInPlace(target)
 	var loss float64
 	for _, v := range delta.Data {
-		loss += v * v
+		loss += float64(v * v)
 	}
 	loss /= batch * float64(target.Cols)
 	delta.ScaleInPlace(2 / (batch * float64(target.Cols)))
 
 	for i := layers - 1; i >= 0; i-- {
-		// dW = inᵀ·δ and dIn = δ·Wᵀ run through the transpose-fused
-		// kernels: per output element the accumulation order matches the
-		// historic transpose-then-multiply exactly, without paying for a
-		// materialised inᵀ/Wᵀ every mini-batch.
+		// dW = inᵀ·δ and dIn = δ·Wᵀ run through MatMulTNInto and
+		// MatMulNTInto: per output element the accumulation order
+		// matches the historic transpose-then-multiply exactly, and no
+		// workspace holds an inᵀ/Wᵀ copy.
 		tensor.MatMulTNInto(ws.gw[i], ws.acts[i], delta)
 		delta.ColSumsInto(ws.gb[i])
 		if i > 0 {
@@ -200,19 +200,22 @@ func (a *Adam) step(n *Net, g grads) {
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	// float64(·) keeps each product separately rounded: the Go spec
+	// lets compilers fuse x*y + z into one FMA (arm64 does), which
+	// would change bits across hosts. Same for the loss sum above.
 	for i := range n.Weights {
 		wd, gd := n.Weights[i].Data, g.w[i].Data
 		md, vd := a.mw[i].Data, a.vw[i].Data
 		for j := range wd {
-			md[j] = a.Beta1*md[j] + (1-a.Beta1)*gd[j]
-			vd[j] = a.Beta2*vd[j] + (1-a.Beta2)*gd[j]*gd[j]
+			md[j] = float64(a.Beta1*md[j]) + float64((1-a.Beta1)*gd[j])
+			vd[j] = float64(a.Beta2*vd[j]) + float64((1-a.Beta2)*gd[j]*gd[j])
 			wd[j] -= a.LR * (md[j] / c1) / (math.Sqrt(vd[j]/c2) + a.Eps)
 		}
 		bb, gb := n.Biases[i], g.b[i]
 		mb, vb := a.mb[i], a.vb[i]
 		for j := range bb {
-			mb[j] = a.Beta1*mb[j] + (1-a.Beta1)*gb[j]
-			vb[j] = a.Beta2*vb[j] + (1-a.Beta2)*gb[j]*gb[j]
+			mb[j] = float64(a.Beta1*mb[j]) + float64((1-a.Beta1)*gb[j])
+			vb[j] = float64(a.Beta2*vb[j]) + float64((1-a.Beta2)*gb[j]*gb[j])
 			bb[j] -= a.LR * (mb[j] / c1) / (math.Sqrt(vb[j]/c2) + a.Eps)
 		}
 	}

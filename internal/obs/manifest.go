@@ -24,16 +24,21 @@ type ExperimentRecord struct {
 // durations. It is written alongside experiment output so a
 // regenerated experiments_full_output.txt always names its provenance.
 type Manifest struct {
-	Tool        string   `json:"tool"`
-	Args        []string `json:"args"`
-	Seed        int64    `json:"seed"`
-	Workers     int      `json:"workers"`
-	Format      string   `json:"format"`
-	Fast        bool     `json:"fast"`
-	GoVersion   string   `json:"go_version"`
-	GOOS        string   `json:"goos"`
-	GOARCH      string   `json:"goarch"`
-	GitDescribe string   `json:"git_describe,omitempty"`
+	Tool      string   `json:"tool"`
+	Args      []string `json:"args"`
+	Seed      int64    `json:"seed"`
+	Workers   int      `json:"workers"`
+	Format    string   `json:"format"`
+	Fast      bool     `json:"fast"`
+	GoVersion string   `json:"go_version"`
+	GOOS      string   `json:"goos"`
+	GOARCH    string   `json:"goarch"`
+	// TensorKernel names the dense GEMM leaves the host ran, "avx" or
+	// "generic" (tensor.Kernel), so a wall-time change across hosts
+	// can be told apart from a code change. Set by the caller: obs
+	// sits below tensor.
+	TensorKernel string `json:"tensor_kernel,omitempty"`
+	GitDescribe  string `json:"git_describe,omitempty"`
 	// Knobs records every CLI knob whose resolved value differs from
 	// its default, keyed by manifest name (fault_rate, spmm_strategy,
 	// refresh_policy, ...). Omitted when empty, so a default run's

@@ -169,7 +169,10 @@ func (m *CSR) mulDenseRows(dst, d *tensor.Matrix, lo, hi int) {
 		// accumulates one (value, neighbour-row) term at a time in
 		// ascending column order — two separately rounded steps per
 		// pass — so the bits match the one-term-per-pass loop while
-		// orow is loaded and stored half as often.
+		// orow is loaded and stored half as often. The float64(·)
+		// conversions forbid fusing a product into an FMA, which rounds
+		// once (Go spec; arm64 compilers fuse), so each product rounds
+		// as written on every architecture.
 		i := 0
 		for ; i+1 < len(cols); i += 2 {
 			v0, v1 := vals[i], vals[i+1]
@@ -178,8 +181,8 @@ func (m *CSR) mulDenseRows(dst, d *tensor.Matrix, lo, hi int) {
 			d1 = d1[:len(d0)]
 			ob := orow[:len(d0)]
 			for j, dv := range d0 {
-				t := ob[j] + v0*dv
-				ob[j] = t + v1*d1[j]
+				t := ob[j] + float64(v0*dv)
+				ob[j] = t + float64(v1*d1[j])
 			}
 		}
 		if i < len(cols) {
@@ -187,7 +190,7 @@ func (m *CSR) mulDenseRows(dst, d *tensor.Matrix, lo, hi int) {
 			drow := d.Row(cols[i])
 			ob := orow[:len(drow)]
 			for j, dv := range drow {
-				ob[j] += v * dv
+				ob[j] += float64(v * dv)
 			}
 		}
 	}
@@ -226,7 +229,7 @@ func (m *CSR) TMulDenseInto(dst, d *tensor.Matrix) {
 			v := vals[i]
 			orow := dst.Row(c)
 			for j, dv := range drow {
-				orow[j] += v * dv
+				orow[j] += float64(v * dv)
 			}
 		}
 	}

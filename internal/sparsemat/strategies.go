@@ -248,6 +248,7 @@ func (m *CSR) mulDenseRowCols(dst, d *tensor.Matrix, r, jlo, jhi int) {
 	for j := range orow {
 		orow[j] = 0
 	}
+	// Same paired, FMA-free steps as mulDenseRows.
 	i := 0
 	for ; i+1 < len(cols); i += 2 {
 		v0, v1 := vals[i], vals[i+1]
@@ -256,8 +257,8 @@ func (m *CSR) mulDenseRowCols(dst, d *tensor.Matrix, r, jlo, jhi int) {
 		d1 = d1[:len(d0)]
 		ob := orow[:len(d0)]
 		for j, dv := range d0 {
-			t := ob[j] + v0*dv
-			ob[j] = t + v1*d1[j]
+			t := ob[j] + float64(v0*dv)
+			ob[j] = t + float64(v1*d1[j])
 		}
 	}
 	if i < len(cols) {
@@ -265,7 +266,7 @@ func (m *CSR) mulDenseRowCols(dst, d *tensor.Matrix, r, jlo, jhi int) {
 		drow := d.Row(cols[i])[jlo:jhi]
 		ob := orow[:len(drow)]
 		for j, dv := range drow {
-			ob[j] += v * dv
+			ob[j] += float64(v * dv)
 		}
 	}
 }

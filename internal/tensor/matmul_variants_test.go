@@ -169,67 +169,101 @@ func TestMatMulVariantPanics(t *testing.T) {
 	mustPanic("NT dst", func() { MatMulNTInto(New(2, 4), a, New(2, 3)) })
 }
 
-// Backward-pass shape benchmarks: fused kernels vs the historic
-// transpose-then-multiply, on the shapes the MLP predictor and GCN
-// training actually issue.
+// benchMatrix builds a rows×cols matrix of standard-normal values with
+// ~zeroFrac exact zeros, like the ReLU activations and gradients that
+// training feeds the kernels. fuzzMatrix's denormals cost a microcode
+// assist per product on x86, so benchmarks on its inputs time those
+// assists as much as the kernel.
+func benchMatrix(rng *rand.Rand, rows, cols int, zeroFrac float64) *Matrix {
+	m := New(rows, cols)
+	for i := range m.Data {
+		if rng.Float64() >= zeroFrac {
+			m.Data[i] = rng.NormFloat64()
+		}
+	}
+	return m
+}
+
+// Dense kernel benchmarks on the shapes the MLP predictor and GCN
+// training actually issue. TN and NT shapes also time the historic
+// transpose-then-multiply, so the fused entry points are measured
+// against the composition they are pinned to. Every shape runs on
+// fuzzMatrix inputs (<shape>/<kernel>, the original series) and on
+// benchMatrix inputs (<shape>/normal/<kernel>).
 func BenchmarkBackwardKernels(b *testing.B) {
 	shapes := []struct {
 		name    string
-		m, k, n int
+		op      string // "NN": a·b, "TN": aᵀ·b, "NT": a·bᵀ
+		m, k, n int    // dst is m×n with inner dimension k
 	}{
-		{"mlp-dW1", 9, 16, 256},    // Xᵀ(9×16)·Δ(16×256)
-		{"mlp-dW2", 256, 16, 1},    // Hᵀ(256×16)·Δ(16×1)
-		{"gcn-dW", 16, 1200, 16},   // Hᵀ(16×1200)·dC(1200×16)
-		{"mlp-dH", 16, 1, 256},     // Δ(16×1)·Wᵀ(1×256)
-		{"mlp-dH4", 16, 256, 256},  // Δ(16×256)·Wᵀ(256×256)
-		{"gcn-dIn", 1200, 16, 16},  // dC(1200×16)·Wᵀ(16×16)
-		{"mlp-fwd2", 16, 256, 1},   // H(16×256)·W2(256×1)
+		{"mlp-dW1", "TN", 9, 16, 256},       // Xᵀ(9×16)·Δ(16×256)
+		{"mlp-dW2", "TN", 256, 16, 1},       // Hᵀ(256×16)·Δ(16×1)
+		{"mlp-dW4", "TN", 256, 16, 256},     // Hᵀ(256×16)·Δ(16×256)
+		{"gcn-dW", "TN", 16, 1200, 16},      // Hᵀ(16×1200)·dC(1200×16)
+		{"gcn-dW256", "TN", 256, 300, 256},  // Hᵀ(256×300)·dC(300×256)
+		{"mlp-dH", "NT", 16, 1, 256},        // Δ(16×1)·Wᵀ(1×256)
+		{"mlp-dH4", "NT", 16, 256, 256},     // Δ(16×256)·Wᵀ(256×256)
+		{"gcn-dIn", "NT", 1200, 16, 16},     // dC(1200×16)·Wᵀ(16×16)
+		{"gcn-dIn256", "NT", 300, 256, 256}, // dC(300×256)·Wᵀ(256×256)
+		{"mlp-fwd2", "NN", 16, 256, 1},      // H(16×256)·W2(256×1)
+		{"mlp-fwd4", "NN", 16, 256, 256},    // H(16×256)·W(256×256)
+		{"gcn-fwd", "NN", 300, 256, 256},    // H(300×256)·W(256×256)
 	}
-	for _, sh := range shapes {
-		rng := rand.New(rand.NewSource(1))
-		switch sh.name {
-		case "mlp-dH", "mlp-dH4", "gcn-dIn", "mlp-fwd2":
-			a := fuzzMatrix(rng, sh.m, sh.k, 0.3)
-			if sh.name == "mlp-fwd2" {
-				bm := fuzzMatrix(rng, sh.k, sh.n, 0)
-				dst := New(sh.m, sh.n)
-				b.Run(sh.name+"/plain", func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						MatMulInto(dst, a, bm)
-					}
-				})
-				continue
-			}
-			bm := fuzzMatrix(rng, sh.n, sh.k, 0)
-			dst := New(sh.m, sh.n)
-			bt := New(sh.k, sh.n)
-			b.Run(sh.name+"/transpose", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					TransposeInto(bt, bm)
-					MatMulInto(dst, a, bt)
-				}
-			})
-			b.Run(sh.name+"/fusedNT", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					MatMulNTInto(dst, a, bm)
-				}
-			})
-		default:
-			a := fuzzMatrix(rng, sh.k, sh.m, 0.3)
-			bm := fuzzMatrix(rng, sh.k, sh.n, 0.3)
-			dst := New(sh.m, sh.n)
-			at := New(sh.m, sh.k)
-			b.Run(sh.name+"/transpose", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					TransposeInto(at, a)
-					MatMulInto(dst, at, bm)
-				}
-			})
-			b.Run(sh.name+"/fusedTN", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					MatMulTNInto(dst, a, bm)
-				}
-			})
+	inputs := []struct {
+		suffix string
+		gen    func(rng *rand.Rand, rows, cols int, zeroFrac float64) *Matrix
+	}{{"", fuzzMatrix}, {"/normal", benchMatrix}}
+	for _, in := range inputs {
+		for _, sh := range shapes {
+			benchShape(b, sh.name+in.suffix, sh.op, sh.m, sh.k, sh.n, in.gen)
 		}
+	}
+}
+
+// benchShape runs BenchmarkBackwardKernels' sub-benchmarks for one
+// m×k×n shape of op on inputs drawn by gen.
+func benchShape(b *testing.B, name, op string, m, k, n int, gen func(*rand.Rand, int, int, float64) *Matrix) {
+	rng := rand.New(rand.NewSource(1))
+	dst := New(m, n)
+	switch op {
+	case "NN":
+		a := gen(rng, m, k, 0.3)
+		bm := gen(rng, k, n, 0)
+		b.Run(name+"/plain", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MatMulInto(dst, a, bm)
+			}
+		})
+	case "NT":
+		a := gen(rng, m, k, 0.3)
+		bm := gen(rng, n, k, 0)
+		bt := New(k, n)
+		b.Run(name+"/transpose", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				TransposeInto(bt, bm)
+				MatMulInto(dst, a, bt)
+			}
+		})
+		b.Run(name+"/fusedNT", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				MatMulNTInto(dst, a, bm)
+			}
+		})
+	case "TN":
+		a := gen(rng, k, m, 0.3)
+		bm := gen(rng, k, n, 0.3)
+		at := New(m, k)
+		b.Run(name+"/transpose", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				TransposeInto(at, a)
+				MatMulInto(dst, at, bm)
+			}
+		})
+		b.Run(name+"/fusedTN", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MatMulTNInto(dst, a, bm)
+			}
+		})
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"gopim/internal/parallel"
 )
@@ -56,7 +57,9 @@ func NewFromRows(rows [][]float64) *Matrix {
 func NewRandom(rng *rand.Rand, rows, cols int, scale float64) *Matrix {
 	m := New(rows, cols)
 	for i := range m.Data {
-		m.Data[i] = (rng.Float64()*2 - 1) * scale
+		// float64(·) stops Float64's internal scaling from fusing with
+		// the -1 into an FMA (see axpy.go), which would round once.
+		m.Data[i] = (float64(rng.Float64())*2 - 1) * scale
 	}
 	return m
 }
@@ -132,43 +135,41 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// transposeParallelMin is the element count below which T stays on the
-// serial gather loop; tiny transposes are dominated by goroutine
-// handoff, not copying.
+// transposeParallelMin is the element count below which T stays
+// serial; tiny transposes are dominated by goroutine handoff, not
+// copying.
 const transposeParallelMin = 1 << 14
 
-// T returns the transpose of m as a new matrix. Large matrices gather
-// in parallel, one block of output rows per worker; each output row is
-// written by exactly one worker, so the result is identical at any
-// worker count.
+// T returns the transpose of m as a new matrix. Large matrices are
+// copied in parallel, one block of output rows per worker; each output
+// row is written by exactly one worker, so the result is identical at
+// any worker count.
 func (m *Matrix) T() *Matrix {
 	out := New(m.Cols, m.Rows)
 	if m.Rows*m.Cols < transposeParallelMin {
-		for r := 0; r < m.Rows; r++ {
-			row := m.Row(r)
-			for c, v := range row {
-				out.Data[c*out.Cols+r] = v
-			}
-		}
+		TransposeInto(out, m)
 		return out
 	}
 	grain := transposeParallelMin / (m.Rows + 1)
 	parallel.For(m.Cols, grain+1, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			orow := out.Row(c)
-			for r := 0; r < m.Rows; r++ {
-				orow[r] = m.Data[r*m.Cols+c]
-			}
-		}
+		transposeBlock(out.Data[lo*out.Cols:], out.Cols, m.Data[lo:], m.Cols, m.Rows, hi-lo)
 	})
 	return out
 }
 
+// transposeStrip is how many source rows a transpose copies per pass:
+// eight float64 values fill a 64-byte cache line, so every dst line is
+// written whole in one visit. A whole-row scatter writes one element
+// per dst line per source row, and when dst's row stride is a multiple
+// of 512 B those lines share a few L1 sets and are evicted before they
+// fill.
+const transposeStrip = 8
+
 // TransposeInto computes dst = srcᵀ, reusing dst's storage. dst must
-// be src.Cols × src.Rows and must not alias src. The gather order is
-// the serial one regardless of size: transposes on the training hot
-// path sit inside already-parallel sections, and a copy is exact, so
-// there is no accumulation order to protect.
+// be src.Cols × src.Rows and must not alias src. It runs serially
+// regardless of size: transposes on the training hot path sit inside
+// already-parallel sections, and a copy is exact, so there is no
+// accumulation order to protect.
 func TransposeInto(dst, src *Matrix) {
 	if dst.Rows != src.Cols || dst.Cols != src.Rows {
 		panic(fmt.Sprintf("tensor: TransposeInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, src.Cols, src.Rows))
@@ -176,10 +177,21 @@ func TransposeInto(dst, src *Matrix) {
 	if aliases(dst, src) {
 		panic("tensor: TransposeInto dst must not alias src")
 	}
-	for r := 0; r < src.Rows; r++ {
-		row := src.Row(r)
-		for c, v := range row {
-			dst.Data[c*dst.Cols+r] = v
+	transposeBlock(dst.Data, dst.Cols, src.Data, src.Cols, src.Rows, src.Cols)
+}
+
+// transposeBlock copies the rows×cols block at src (row stride ss)
+// transposed into dst (row stride ds), transposeStrip source rows at a
+// time.
+func transposeBlock(dst []float64, ds int, src []float64, ss, rows, cols int) {
+	for r0 := 0; r0 < rows; r0 += transposeStrip {
+		n := min(transposeStrip, rows-r0)
+		for c := 0; c < cols; c++ {
+			d := dst[c*ds+r0 : c*ds+r0+n]
+			s := src[r0*ss+c:]
+			for k := range d {
+				d[k] = s[k*ss]
+			}
 		}
 	}
 }
@@ -202,11 +214,17 @@ func aliases(x, y *Matrix) bool {
 	return len(x.Data) > 0 && len(y.Data) > 0 && &x.Data[0] == &y.Data[0]
 }
 
-// matmulParallelMinFLOPs is the multiply-add count below which
-// MatMulInto stays on the serial kernel; the MLP predictor issues
-// thousands of tiny batch-16 GEMMs where fork/join overhead would
-// swamp the arithmetic.
+// matmulParallelMinFLOPs is the multiply-add count below which the
+// GEMM entry points stay on the serial kernel; the MLP predictor
+// issues thousands of tiny batch-16 GEMMs where fork/join overhead
+// would swamp the arithmetic.
 const matmulParallelMinFLOPs = 1 << 16
+
+// gemmTaskFLOPs is the least work one parallel GEMM task carries.
+// Together with the gemmBlockI row floor it keeps a task long enough
+// to amortise its handoff and to reuse each b panel across a full
+// row tile: one-row tasks re-stream all of b per output row.
+const gemmTaskFLOPs = 1 << 18
 
 // GEMM cache-blocking tile sizes (elements). The kernel processes
 // gemmBlockI output rows at a time against kc×jc blocks of b: a
@@ -221,17 +239,39 @@ const (
 	gemmBlockJ = 128
 )
 
+// gemmRows runs kernel over dst's rows [0, rows), where each row costs
+// flopsPerRow multiply-adds: serially for small products, otherwise in
+// contiguous row blocks on the worker pool. Every row is computed by
+// exactly one call in the same order as the serial loop, so the result
+// is byte-identical at any worker count. The grain depends on the
+// shape alone, which keeps the parallel.* Sim counters worker-count
+// independent.
+func gemmRows(kernel func(dst, a, b *Matrix, lo, hi int), dst, a, b *Matrix, rows, flopsPerRow int) {
+	if rows*flopsPerRow < matmulParallelMinFLOPs {
+		kernel(dst, a, b, 0, rows)
+		return
+	}
+	grain := max(gemmBlockI, gemmTaskFLOPs/max(flopsPerRow, 1))
+	// One-worker runs take the serial path without building the
+	// escaping closure For needs — the training hot loop stays
+	// allocation-free on single-core hosts.
+	if parallel.Serial(rows, grain) {
+		kernel(dst, a, b, 0, rows)
+		return
+	}
+	parallel.For(rows, grain, func(lo, hi int) {
+		kernel(dst, a, b, lo, hi)
+	})
+}
+
 // MatMulInto computes dst = a*b, reusing dst's storage.
 // dst must be a.Rows × b.Cols and must not alias a or b (checked —
 // aliased storage would silently corrupt the accumulation).
 //
-// Large products run row-blocked in parallel: each worker owns a
-// contiguous block of dst rows and accumulates it in the same ikj
-// order as the serial kernel, so the result is byte-identical at any
-// worker count. Within a row the kernel is cache-blocked over k and j
-// (see gemmBlockK/gemmBlockJ); per output element the accumulation
-// order is still k-ascending with the same zero-skip, so blocking
-// never changes a single output bit.
+// Large products run row-blocked in parallel (gemmRows). Within a row
+// the kernel is cache-blocked over k and j (see gemmBlockK/gemmBlockJ);
+// per output element the accumulation order is still k-ascending with
+// the same zero-skip, so blocking never changes a single output bit.
 func MatMulInto(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul inner dims %d != %d", a.Cols, b.Rows))
@@ -242,22 +282,7 @@ func MatMulInto(dst, a, b *Matrix) {
 	if aliases(dst, a) || aliases(dst, b) {
 		panic("tensor: MatMulInto dst must not alias a or b")
 	}
-	flopsPerRow := a.Cols * b.Cols
-	if a.Rows*flopsPerRow < matmulParallelMinFLOPs {
-		matMulBlock(dst, a, b, 0, a.Rows)
-		return
-	}
-	grain := matmulParallelMinFLOPs / (4 * (flopsPerRow + 1))
-	// One-worker runs take the serial path without building the
-	// escaping closure For needs — the training hot loop stays
-	// allocation-free on single-core hosts.
-	if parallel.Serial(a.Rows, grain+1) {
-		matMulBlock(dst, a, b, 0, a.Rows)
-		return
-	}
-	parallel.For(a.Rows, grain+1, func(lo, hi int) {
-		matMulBlock(dst, a, b, lo, hi)
-	})
+	gemmRows(matMulBlock, dst, a, b, a.Rows, a.Cols*b.Cols)
 }
 
 // matMulBlock computes dst rows [lo, hi) = a[lo:hi]·b with i/k/j
@@ -278,67 +303,50 @@ func matMulBlock(dst, a, b *Matrix, lo, hi int) {
 		}
 		return
 	}
-	for i := lo; i < hi; i++ {
-		orow := dst.Row(i)
-		for j := range orow {
-			orow[j] = 0
+	clear(dst.Data[lo*cols : hi*cols])
+	for i0 := lo; i0 < hi; i0 += gemmBlockI {
+		i1 := min(i0+gemmBlockI, hi)
+		for k0 := 0; k0 < inner; k0 += gemmBlockK {
+			k1 := min(k0+gemmBlockK, inner)
+			for j0 := 0; j0 < cols; j0 += gemmBlockJ {
+				j1 := min(j0+gemmBlockJ, cols)
+				for i := i0; i < i1; i++ {
+					accumulateRow(dst.Data[i*cols+j0:i*cols+j1], a.Data[i*inner:], 1, b.Data, cols, j0, k0, k1)
+				}
+			}
 		}
 	}
-	for i0 := lo; i0 < hi; i0 += gemmBlockI {
-		i1 := i0 + gemmBlockI
-		if i1 > hi {
-			i1 = hi
+}
+
+// accumulateRow adds Σₖ a[k·stride]·b[k, j0:j0+len(ot)] for k in
+// [k0, k1) into the output tile ot, k-ascending. Zero entries of a are
+// skipped without an FP op (`x + 0·y` is not an identity for x = -0 or
+// y = ±Inf), and consecutive nonzero k-steps are paired into one
+// axpyPair pass: each output element still receives its updates one k
+// at a time in ascending order, two separately rounded multiply/add
+// steps per pass, so the bits match the one-k-per-pass loop while ot
+// is loaded and stored half as often. b is row-major with row length
+// cols.
+func accumulateRow(ot, a []float64, stride int, b []float64, cols, j0, k0, k1 int) {
+	n := len(ot)
+	k := k0
+	for k < k1 {
+		av0 := a[k*stride]
+		if av0 == 0 {
+			k++
+			continue
 		}
-		for k0 := 0; k0 < inner; k0 += gemmBlockK {
-			k1 := k0 + gemmBlockK
-			if k1 > inner {
-				k1 = inner
-			}
-			for j0 := 0; j0 < cols; j0 += gemmBlockJ {
-				j1 := j0 + gemmBlockJ
-				if j1 > cols {
-					j1 = cols
-				}
-				for i := i0; i < i1; i++ {
-					arow := a.Row(i)
-					ot := dst.Data[i*cols+j0 : i*cols+j1]
-					// Pair consecutive nonzero k-steps: each output
-					// element still receives its updates one k at a
-					// time in ascending order (two separate rounded
-					// add/mul steps per pass), so the bits match the
-					// one-k-per-pass loop while ot is loaded and
-					// stored half as often.
-					k := k0
-					for k < k1 {
-						av0 := arow[k]
-						if av0 == 0 {
-							k++
-							continue
-						}
-						k2 := k + 1
-						for k2 < k1 && arow[k2] == 0 {
-							k2++
-						}
-						bt0 := b.Data[k*cols+j0 : k*cols+j1]
-						ob := ot[:len(bt0)]
-						if k2 < k1 {
-							av1 := arow[k2]
-							bt1 := b.Data[k2*cols+j0 : k2*cols+j1]
-							bt1 = bt1[:len(bt0)]
-							for j, bv := range bt0 {
-								v := ob[j] + av0*bv
-								ob[j] = v + av1*bt1[j]
-							}
-							k = k2 + 1
-						} else {
-							for j, bv := range bt0 {
-								ob[j] += av0 * bv
-							}
-							k = k1
-						}
-					}
-				}
-			}
+		k2 := k + 1
+		for k2 < k1 && a[k2*stride] == 0 {
+			k2++
+		}
+		bt0 := b[k*cols+j0 : k*cols+j0+n]
+		if k2 < k1 {
+			axpyPair(ot, bt0, b[k2*cols+j0:k2*cols+j0+n], av0, a[k2*stride])
+			k = k2 + 1
+		} else {
+			axpy1(ot, bt0, av0)
+			k = k1
 		}
 	}
 }
@@ -363,11 +371,11 @@ func pairedDot(a, b []float64) float64 {
 			k2++
 		}
 		if k2 < len(a) {
-			v := acc + av0*b[k]
-			acc = v + a[k2]*b[k2]
+			v := acc + float64(av0*b[k])
+			acc = v + float64(a[k2]*b[k2])
 			k = k2 + 1
 		} else {
-			acc += av0 * b[k]
+			acc += float64(av0 * b[k])
 			k = len(a)
 		}
 	}
@@ -393,11 +401,11 @@ func pairedDotStride(a []float64, stride, n int, b []float64) float64 {
 			k2++
 		}
 		if k2 < n {
-			v := acc + av0*b[k]
-			acc = v + a[k2*stride]*b[k2]
+			v := acc + float64(av0*b[k])
+			acc = v + float64(a[k2*stride]*b[k2])
 			k = k2 + 1
 		} else {
-			acc += av0 * b[k]
+			acc += float64(av0 * b[k])
 			k = n
 		}
 	}
@@ -425,19 +433,7 @@ func MatMulTNInto(dst, a, b *Matrix) {
 	if aliases(dst, a) || aliases(dst, b) {
 		panic("tensor: MatMulTNInto dst must not alias a or b")
 	}
-	flopsPerRow := a.Rows * b.Cols
-	if dst.Rows*flopsPerRow < matmulParallelMinFLOPs {
-		matMulTNBlock(dst, a, b, 0, dst.Rows)
-		return
-	}
-	grain := matmulParallelMinFLOPs / (4 * (flopsPerRow + 1))
-	if parallel.Serial(dst.Rows, grain+1) {
-		matMulTNBlock(dst, a, b, 0, dst.Rows)
-		return
-	}
-	parallel.For(dst.Rows, grain+1, func(lo, hi int) {
-		matMulTNBlock(dst, a, b, lo, hi)
-	})
+	gemmRows(matMulTNBlock, dst, a, b, dst.Rows, a.Rows*b.Cols)
 }
 
 // matMulTNBlock computes dst rows [lo, hi) of aᵀ·b. Row i of dst reads
@@ -453,69 +449,34 @@ func matMulTNBlock(dst, a, b *Matrix, lo, hi int) {
 		}
 		return
 	}
-	for i := lo; i < hi; i++ {
-		orow := dst.Row(i)
-		for j := range orow {
-			orow[j] = 0
-		}
-	}
+	clear(dst.Data[lo*cols : hi*cols])
 	for k0 := 0; k0 < inner; k0 += gemmBlockK {
-		k1 := k0 + gemmBlockK
-		if k1 > inner {
-			k1 = inner
-		}
+		k1 := min(k0+gemmBlockK, inner)
 		for j0 := 0; j0 < cols; j0 += gemmBlockJ {
-			j1 := j0 + gemmBlockJ
-			if j1 > cols {
-				j1 = cols
-			}
+			j1 := min(j0+gemmBlockJ, cols)
 			for i := lo; i < hi; i++ {
-				acol := a.Data[i:]
-				ot := dst.Data[i*cols+j0 : i*cols+j1]
-				k := k0
-				for k < k1 {
-					av0 := acol[k*ac]
-					if av0 == 0 {
-						k++
-						continue
-					}
-					k2 := k + 1
-					for k2 < k1 && acol[k2*ac] == 0 {
-						k2++
-					}
-					bt0 := b.Data[k*cols+j0 : k*cols+j1]
-					ob := ot[:len(bt0)]
-					if k2 < k1 {
-						av1 := acol[k2*ac]
-						bt1 := b.Data[k2*cols+j0 : k2*cols+j1]
-						bt1 = bt1[:len(bt0)]
-						for j, bv := range bt0 {
-							v := ob[j] + av0*bv
-							ob[j] = v + av1*bt1[j]
-						}
-						k = k2 + 1
-					} else {
-						for j, bv := range bt0 {
-							ob[j] += av0 * bv
-						}
-						k = k1
-					}
-				}
+				accumulateRow(dst.Data[i*cols+j0:i*cols+j1], a.Data[i:], ac, b.Data, cols, j0, k0, k1)
 			}
 		}
 	}
 }
 
-// MatMulNTInto computes dst = a·bᵀ without materialising the
-// transpose, reusing dst's storage. dst must be a.Rows × b.Rows and
-// must not alias a or b. It is byte-identical to
-// TransposeInto(bt, b); MatMulInto(dst, a, bt): output element (i, j)
-// is the dot product of a's row i and b's row j — both contiguous —
-// accumulated k-ascending with the plain kernel's zero-skip (on a's
-// entries) and pairing.
+// ntPanels recycles matMulNTBlock's bᵀ panels (*ntPanel values): one
+// per running task, so a·bᵀ never holds more than a gemmBlockK ×
+// gemmBlockJ copy of b per worker, whatever b's size.
+var ntPanels sync.Pool
+
+type ntPanel [gemmBlockK * gemmBlockJ]float64
+
+// MatMulNTInto computes dst = a·bᵀ, reusing dst's storage. dst must be
+// a.Rows × b.Rows and must not alias a or b. It is byte-identical to
+// TransposeInto(bt, b); MatMulInto(dst, a, bt): the kernel copies each
+// k×j block of bᵀ into a panel — an exact copy — and runs the plain
+// kernel's row loop on it, so its inner loops are the contiguous
+// leaves rather than strided reads of b.
 //
 // Training backward passes use it to push gradients through a layer
-// (dX = Δ·Wᵀ) without re-transposing the weights every mini-batch.
+// (dX = Δ·Wᵀ).
 func MatMulNTInto(dst, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulNT inner dims %d != %d", a.Cols, b.Cols))
@@ -526,95 +487,42 @@ func MatMulNTInto(dst, a, b *Matrix) {
 	if aliases(dst, a) || aliases(dst, b) {
 		panic("tensor: MatMulNTInto dst must not alias a or b")
 	}
-	flopsPerRow := a.Cols * b.Rows
-	if a.Rows*flopsPerRow < matmulParallelMinFLOPs {
-		matMulNTBlock(dst, a, b, 0, a.Rows)
-		return
-	}
-	grain := matmulParallelMinFLOPs / (4 * (flopsPerRow + 1))
-	if parallel.Serial(a.Rows, grain+1) {
-		matMulNTBlock(dst, a, b, 0, a.Rows)
-		return
-	}
-	parallel.For(a.Rows, grain+1, func(lo, hi int) {
-		matMulNTBlock(dst, a, b, lo, hi)
-	})
+	gemmRows(matMulNTBlock, dst, a, b, a.Rows, a.Cols*b.Rows)
 }
 
-// matMulNTBlock computes dst rows [lo, hi) of a·bᵀ with the same
-// i/k/j tiling as matMulBlock: the j-wide inner loop keeps one
-// independent accumulator per output column (throughput-bound, like
-// the plain kernel) instead of a single serial dot chain, and the
-// zero-skip check on a[i,k] is amortised over the whole j tile.
-// bᵀ's row k is b's column k, read with stride b.Cols.
+// matMulNTBlock computes dst rows [lo, hi) of a·bᵀ. For each k×j block
+// it transposes b[j0:j1, k0:k1] into a panel once and accumulates every
+// row of the range against it, as matMulTNBlock does with b's blocks;
+// per output element the k order, zero-skip and pairing are those of
+// matMulBlock.
 func matMulNTBlock(dst, a, b *Matrix, lo, hi int) {
 	cols := b.Rows
 	inner := a.Cols
 	if cols == 1 {
-		// a·bᵀ with a single b row is a matrix·vector product against
-		// b's only (contiguous) row.
+		// bᵀ is a single contiguous column: b's only row.
 		for i := lo; i < hi; i++ {
 			dst.Data[i] = pairedDot(a.Row(i), b.Data)
 		}
 		return
 	}
-	bd := b.Data
-	for i := lo; i < hi; i++ {
-		orow := dst.Row(i)
-		for j := range orow {
-			orow[j] = 0
-		}
+	p, _ := ntPanels.Get().(*ntPanel)
+	if p == nil {
+		p = new(ntPanel)
 	}
-	for i0 := lo; i0 < hi; i0 += gemmBlockI {
-		i1 := i0 + gemmBlockI
-		if i1 > hi {
-			i1 = hi
-		}
-		for k0 := 0; k0 < inner; k0 += gemmBlockK {
-			k1 := k0 + gemmBlockK
-			if k1 > inner {
-				k1 = inner
-			}
-			for j0 := 0; j0 < cols; j0 += gemmBlockJ {
-				j1 := j0 + gemmBlockJ
-				if j1 > cols {
-					j1 = cols
-				}
-				for i := i0; i < i1; i++ {
-					arow := a.Row(i)
-					ot := dst.Data[i*cols+j0 : i*cols+j1]
-					k := k0
-					for k < k1 {
-						av0 := arow[k]
-						if av0 == 0 {
-							k++
-							continue
-						}
-						k2 := k + 1
-						for k2 < k1 && arow[k2] == 0 {
-							k2++
-						}
-						if k2 < k1 {
-							av1 := arow[k2]
-							bc0 := bd[j0*inner+k:]
-							bc1 := bd[j0*inner+k2:]
-							for j := range ot {
-								v := ot[j] + av0*bc0[j*inner]
-								ot[j] = v + av1*bc1[j*inner]
-							}
-							k = k2 + 1
-						} else {
-							bc0 := bd[j0*inner+k:]
-							for j := range ot {
-								ot[j] += av0 * bc0[j*inner]
-							}
-							k = k1
-						}
-					}
-				}
+	clear(dst.Data[lo*cols : hi*cols])
+	for k0 := 0; k0 < inner; k0 += gemmBlockK {
+		k1 := min(k0+gemmBlockK, inner)
+		for j0 := 0; j0 < cols; j0 += gemmBlockJ {
+			j1 := min(j0+gemmBlockJ, cols)
+			w := j1 - j0
+			panel := p[:(k1-k0)*w]
+			transposeBlock(panel, w, b.Data[j0*inner+k0:], inner, w, k1-k0)
+			for i := lo; i < hi; i++ {
+				accumulateRow(dst.Data[i*cols+j0:i*cols+j1], a.Data[i*inner+k0:], 1, panel, w, 0, 0, k1-k0)
 			}
 		}
 	}
+	ntPanels.Put(p)
 }
 
 // AddInPlace computes m += other element-wise.
@@ -652,7 +560,7 @@ func (m *Matrix) ScaleInPlace(s float64) {
 func (m *Matrix) AXPY(s float64, other *Matrix) {
 	m.sameShape(other, "AXPY")
 	for i, v := range other.Data {
-		m.Data[i] += s * v
+		m.Data[i] += float64(s * v)
 	}
 }
 
@@ -749,7 +657,7 @@ func (m *Matrix) ColSumsInto(sums []float64) {
 func (m *Matrix) FrobeniusNorm() float64 {
 	var s float64
 	for _, v := range m.Data {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }
