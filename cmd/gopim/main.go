@@ -321,7 +321,7 @@ func searchTheta(dataset string, seed int64, fast bool) error {
 		// Same content-key convention as the experiments' instance
 		// cache: the sweep's θ=1 baseline and any matching experiment
 		// run share one memoized training.
-		InstanceKey: fmt.Sprintf("%+v|%d|%d", d, seed, maxV),
+		InstanceKey: experiments.InstanceKey(d, seed, maxV),
 	})
 	fmt.Printf("θ search on %s (baseline accuracy %.2f%%):\n", dataset, res.Baseline*100)
 	for _, p := range res.Points {

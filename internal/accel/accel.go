@@ -18,7 +18,6 @@ package accel
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"gopim/internal/alloc"
 	"gopim/internal/energy"
@@ -247,6 +246,9 @@ func (w *Workload) defaults() {
 	if w.Chip.Tiles == 0 {
 		w.Chip = reram.DefaultChip()
 	}
+	if w.Fault == nil {
+		w.Fault = fault.Default()
+	}
 	if w.Deg == nil {
 		w.Deg = DegModelFor(w.Dataset, w.Seed)
 	}
@@ -256,14 +258,13 @@ func (w *Workload) defaults() {
 // dataset and seed. The returned model is shared: treat it as
 // read-only.
 func DegModelFor(d graphgen.Dataset, seed int64) *graphgen.DegreeModel {
-	if !simmemo.Enabled() {
-		return d.SynthDegreeModel(seed)
-	}
-	key := fmt.Sprintf("%+v|%d", d, seed)
-	return simmemo.Do(degCache, key, func() *graphgen.DegreeModel {
+	return simmemo.Do(degCache, degKey(d, seed), nil, func(*simmemo.Tape) *graphgen.DegreeModel {
 		return d.SynthDegreeModel(seed)
 	})
 }
+
+// degKey is DegModelFor's memo key.
+func degKey(d graphgen.Dataset, seed int64) string { return simmemo.Key(d, seed) }
 
 // Report is the outcome of simulating one accelerator on one workload.
 type Report struct {
@@ -313,14 +314,6 @@ func (r Report) EnergyPJ() float64 { return r.Energy.TotalPJ() }
 // replays after. 512 entries dwarfs `gopim all`'s distinct-cell count.
 var runCache = simmemo.NewCache("accelrun", 512)
 
-// runMemo is the cached outcome of one run: the report plus the one
-// input recordFault cannot recompute from it (the stages' per-micro-
-// batch write-row sum).
-type runMemo struct {
-	rep       Report
-	writeRows float64
-}
-
 // Run simulates one accelerator model on a workload: build stages
 // under the model's mapping policy, allocate replicas under its
 // policy, schedule the pipeline, and account energy.
@@ -328,57 +321,36 @@ type runMemo struct {
 // Runs whose degree model is synthesized (Deg nil — every experiments
 // caller) are memoized on the full input tuple; callers passing a
 // custom Deg (serve's custom graph stats) always simulate fresh, since
-// the model's content is not part of any key. Hit or miss, the metric
-// effect is identical: pipeline metrics replay via RecordSim and the
-// fault/report records are recomputed from the report itself, so Sim
-// snapshots are byte-identical with the memo on or off. Reports from
-// cache share slices — treat Report fields as read-only.
+// the model's content is not part of any key. The fault records go on
+// the memo tape; the pipeline and report records are pure functions of
+// the report and follow the call. Reports from cache share slices —
+// treat Report fields as read-only.
 func Run(kind Kind, w Workload) Report {
-	memoizable := w.Deg == nil && simmemo.Enabled()
+	synthesized := w.Deg == nil
 	w.defaults()
-	fm := w.Fault
-	if fm == nil {
-		fm = fault.Default()
+	key := ""
+	if synthesized {
+		key = runMemoKey(kind, w)
 	}
-	var out *runMemo
-	if memoizable {
-		out = simmemo.Do(runCache, runKey(kind, w, fm), func() *runMemo {
-			rep, writeRows := runCore(kind, w, fm)
-			return &runMemo{rep: rep, writeRows: writeRows}
-		})
-	} else {
-		rep, writeRows := runCore(kind, w, fm)
-		out = &runMemo{rep: rep, writeRows: writeRows}
-	}
-	rep := out.rep
+	rep := simmemo.Do(runCache, key, nil, func(t *simmemo.Tape) Report {
+		return runCore(t, kind, w)
+	})
 	pipeline.RecordSim(len(rep.StageTimesNS), rep.MicroBatches, rep.MakespanNS)
-	if fm.Enabled() {
-		recordFault(fm, rep, out.writeRows, w.Chip)
-	}
 	recordReport(rep)
 	return rep
 }
 
-// runKey fingerprints every Run input that can influence the report.
-// Only called with a synthesized degree model, whose content is fully
-// determined by (Dataset, Seed); fault behaviour is fully determined
-// by the model's Config.
-func runKey(kind Kind, w Workload, fm *fault.Model) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d|%+v|%+v|%d|%d|%d|%x", kind, w.Chip, w.Dataset,
-		w.Seed, w.MicroBatch, w.MicroBatchesPerBatch, math.Float64bits(w.ThetaOverride))
-	for _, t := range w.PredictedTimes {
-		fmt.Fprintf(&b, ",%x", math.Float64bits(t))
-	}
-	if fm.Enabled() {
-		fmt.Fprintf(&b, "|f%+v", fm.Config())
-	}
-	return b.String()
+// runMemoKey is Run's memo key for a defaulted workload whose degree
+// model was synthesized: every field (the fault model only when
+// enabled), with the degree model left to (Dataset, Seed).
+func runMemoKey(kind Kind, w Workload) string {
+	w.Deg = nil
+	return simmemo.Key(kind, w)
 }
 
-// runCore is the simulation proper. It records nothing: Run replays
-// the metric effect identically for fresh and cached outcomes.
-func runCore(kind Kind, w Workload, fm *fault.Model) (Report, float64) {
+// runCore is the simulation proper, recording the fault counters on t.
+func runCore(t *simmemo.Tape, kind Kind, w Workload) Report {
+	fm := w.Fault
 	retryFactor := 1.0
 	retired := 0
 	if fm.Enabled() {
@@ -547,28 +519,29 @@ func runCore(kind Kind, w Workload, fm *fault.Model) (Report, float64) {
 		CrossbarsRetired:     retired,
 		AllocDegraded:        res.Degraded,
 	}
+	if fm.Enabled() {
+		recordFault(t, fm, rep, stages, w.Chip)
+	}
+	return rep
+}
+
+// recordFault records the fault-injection counters for one run. Only
+// called with injection active, so all four metrics stay at zero — and
+// out of snapshots — on fault-free runs.
+func recordFault(t *simmemo.Tape, fm *fault.Model, rep Report, stages []stage.Stage, chip reram.Chip) {
+	t.Add(mFaultyCells, fm.ExpectedStuckCells(rep.CrossbarsUsed, chip.CellsPerCrossbar()))
+	// Extra program-verify iterations: each of the epoch's row writes
+	// runs (factor−1)·WriteVerifyCycles additional pulses.
 	var writeRows float64
 	for _, s := range stages {
 		writeRows += s.WriteRows
 	}
-	return rep, writeRows
-}
-
-// recordFault publishes the fault-injection counters for one run.
-// Only called with injection active, so all four metrics stay at zero
-// — and out of snapshots — on fault-free runs. writeRows is the
-// stages' per-micro-batch write-row sum (carried through the run memo
-// so replays charge the same retries).
-func recordFault(fm *fault.Model, rep Report, writeRows float64, chip reram.Chip) {
-	mFaultyCells.Add(fm.ExpectedStuckCells(rep.CrossbarsUsed, chip.CellsPerCrossbar()))
-	// Extra program-verify iterations: each of the epoch's row writes
-	// runs (factor−1)·WriteVerifyCycles additional pulses.
 	writeRows *= float64(rep.MicroBatches)
-	mWriteRetries.Add(int64(math.Round(writeRows *
-		(rep.WriteRetryFactor - 1) * float64(chip.WriteVerifyCycles))))
-	mRetired.Add(int64(rep.CrossbarsRetired))
+	t.Add(mWriteRetries, int64(math.Round(writeRows*
+		(rep.WriteRetryFactor-1)*float64(chip.WriteVerifyCycles))))
+	t.Add(mRetired, int64(rep.CrossbarsRetired))
 	if rep.AllocDegraded {
-		mAllocDegraded.Inc()
+		t.Inc(mAllocDegraded)
 	}
 }
 

@@ -105,9 +105,6 @@ func RunChurn(w Workload, cc churn.Config, epochs int) (ChurnResult, error) {
 	// DegModelFor memoizes: mutate a copy, never the shared model.
 	degs := append([]float64(nil), w.Deg.DegreesByIndex...)
 	fm := w.Fault
-	if fm == nil {
-		fm = fault.Default()
-	}
 	baseCfg := fm.Config() // zero Config when fm is nil
 	if baseCfg.RetireThreshold == 0 {
 		baseCfg.RetireThreshold = churnRetireThreshold

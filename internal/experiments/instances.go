@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"gopim/internal/graphgen"
 	"gopim/internal/simmemo"
 )
@@ -20,9 +18,16 @@ var instanceCache = simmemo.NewCache("instance", 128)
 // key that uniquely identifies its content — the same key gcn.TrainMemo
 // needs to reuse training runs on it.
 func instanceFor(d graphgen.Dataset, seed int64, maxV int) (*graphgen.Instance, string) {
-	key := fmt.Sprintf("%+v|%d|%d", d, seed, maxV)
-	inst := simmemo.Do(instanceCache, key, func() *graphgen.Instance {
+	key := InstanceKey(d, seed, maxV)
+	inst := simmemo.Do(instanceCache, key, nil, func(*simmemo.Tape) *graphgen.Instance {
 		return d.Synthesize(seed, maxV)
 	})
 	return inst, key
+}
+
+// InstanceKey identifies the content of d.Synthesize(seed, maxV), which
+// is deterministic in that tuple: the instance memo's key and the
+// instKey gcn.TrainMemo takes for it.
+func InstanceKey(d graphgen.Dataset, seed int64, maxV int) string {
+	return simmemo.Key(d, seed, maxV)
 }

@@ -9,21 +9,8 @@ import (
 	"gopim/internal/parallel"
 	"gopim/internal/predictor"
 	"gopim/internal/reram"
-	"gopim/internal/singleflight"
+	"gopim/internal/simmemo"
 	"gopim/internal/stage"
-)
-
-// Cache metrics for the shared time predictor. Both counts are
-// deterministic despite the concurrent fan-out: the single-flight
-// cache runs exactly one training per Options key — every concurrent
-// caller for that key coalesces onto it and counts as a hit — so the
-// totals depend only on which experiments run, never on scheduling or
-// worker count.
-var (
-	mPredCacheHits = obs.NewCounter("experiments.predictor_cache_hits", obs.Sim,
-		"shared-predictor lookups answered from the cache")
-	mPredCacheMisses = obs.NewCounter("experiments.predictor_cache_misses", obs.Sim,
-		"shared-predictor lookups that trained a new model")
 )
 
 func init() {
@@ -70,11 +57,10 @@ func fig9(opt Options) (*Result, error) {
 	samples := predictor.Generate(spec)
 	train, test := predictor.SplitTrainTest(samples, 0.2)
 	// The RMSE memo key must determine (model, train, test): the spec
-	// fingerprint pins the profile corpus (and with it the 8:2 split),
-	// the suffix pins the model variant. VariantKey canonicalises the
-	// suffix, so the three sweep axes that all name the default MLP
-	// (family "MLP", 3 layers, 256 neurons) train once and share.
-	specKey := fmt.Sprintf("%+v", spec)
+	// pins the profile corpus (and with it the 8:2 split), VariantKey
+	// the model variant. VariantKey is canonical, so the three sweep
+	// axes that all name the default MLP (family "MLP", 3 layers, 256
+	// neurons) train once and share.
 
 	res := &Result{
 		ID:     "fig9",
@@ -123,7 +109,7 @@ func fig9(opt Options) (*Result, error) {
 	// hit, so the Sim totals match a serial sweep.
 	rmses := parallel.Map(len(cells), func(i int) float64 {
 		c := cells[i]
-		return predictor.ModelRMSECached(specKey+"|"+predictor.VariantKey(c.variant, c.mk), c.mk, train, test)
+		return predictor.ModelRMSECached(simmemo.Key(spec, predictor.VariantKey(c.variant, c.mk)), c.mk, train, test)
 	})
 	for i, c := range cells {
 		res.Rows = append(res.Rows, []string{c.axis, c.label, fmtF(rmses[i])})
@@ -135,38 +121,26 @@ func fig9(opt Options) (*Result, error) {
 	return res, nil
 }
 
-// sharedPredictors caches one trained time predictor per (mode, seed)
-// so that tab7, the CLI's "all" run and the serve daemon don't retrain
-// repeatedly. Misses coalesce per key: concurrent callers for the same
-// Options share one training run, while different keys train in
-// parallel — the old design held a single mutex across training, so
-// independent keys serialized behind whichever training ran first.
-var sharedPredictors = singleflight.New[Options, *predictor.TimePredictor](0)
+// predictorCache holds one trained time predictor per Options (mode,
+// seed) so that tab7, the CLI's "all" run and the serve daemon don't
+// retrain repeatedly; concurrent callers for one key share a training.
+// 64 entries is far above the handful of keys one process uses.
+var predictorCache = simmemo.NewCache("predictor", 64)
 
-// trainSharedPredictor trains (or reuses) the MLP time predictor on
-// the profile sweep. The trained predictor is read-only and safe for
-// concurrent Predict calls.
-func trainSharedPredictor(opt Options) *predictor.TimePredictor {
-	p, hit := sharedPredictors.Do(opt, func() *predictor.TimePredictor {
-		mPredCacheMisses.Inc()
+// SharedPredictor trains (or reuses) the MLP time predictor on the
+// profile sweep; a reuse replays the training's Sim records. The serve
+// daemon plans against the same model the experiments use. It is
+// read-only and safe for concurrent Predict calls.
+func SharedPredictor(opt Options) *predictor.TimePredictor {
+	return simmemo.Do(predictorCache, predictorKey(opt), nil, func(t *simmemo.Tape) *predictor.TimePredictor {
 		sp := obs.StartSpan("predictor.train")
 		defer sp.End()
-		p := predictor.NewTimePredictor()
-		p.Train(predictor.Generate(profileSpec(opt)))
-		return p
+		return predictor.TrainProfiled(t, profileSpec(opt))
 	})
-	if hit {
-		mPredCacheHits.Inc()
-	}
-	return p
 }
 
-// SharedPredictor exposes the per-Options predictor cache to other
-// packages (the serve daemon plans requests against the same shared
-// immutable model the experiments use).
-func SharedPredictor(opt Options) *predictor.TimePredictor {
-	return trainSharedPredictor(opt)
-}
+// predictorKey is the shared predictor's memo key: the whole Options.
+func predictorKey(opt Options) string { return simmemo.Key(opt) }
 
 // predictTimesFor produces the predictor's stage-time estimates for an
 // accelerator workload (full-update stage structure, as profiled).

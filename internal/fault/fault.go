@@ -32,6 +32,7 @@ import (
 	"sync/atomic"
 
 	"gopim/internal/endurance"
+	"gopim/internal/simmemo"
 )
 
 // DefaultVerifyMax is the write-verify retry budget when none is
@@ -114,6 +115,15 @@ func MustNew(cfg Config) *Model {
 // disabled, so call sites thread *Model without nil checks.
 func (m *Model) Enabled() bool {
 	return m != nil && m.EffectiveRate() > 0
+}
+
+// MemoKey is the model's simmemo key part: its configuration while
+// enabled, "" for every model that injects nothing.
+func (m *Model) MemoKey() string {
+	if !m.Enabled() {
+		return ""
+	}
+	return simmemo.Key(m.cfg)
 }
 
 // Config returns the (defaulted) configuration.

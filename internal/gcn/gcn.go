@@ -11,22 +11,20 @@
 // use softmax cross-entropy; link-prediction tasks score vertex pairs
 // by embedding dot products with logistic loss.
 //
-// The training loop is allocation-free in steady state: a per-run
-// workspace (see workspace) preallocates every forward/backward
-// intermediate once and the epoch loop reuses them, so the only
-// per-epoch heap traffic is what the Go runtime itself needs. All
-// buffer reuse preserves the exact floating-point accumulation order
+// The training loop preallocates: a per-run workspace (see workspace)
+// holds every forward/backward intermediate and the epoch loop reuses
+// them (BenchmarkTrainEpoch, 2-vCPU host: 12 allocs/epoch at -cpu 1,
+// 36 at -cpu 2, ~11 of the 12 in sparsemat's bucketBounds). All buffer
+// reuse preserves the exact floating-point accumulation order
 // of the original allocate-per-epoch code, so results are
 // byte-identical at any worker count.
 package gcn
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
-	"strings"
 
 	"gopim/internal/fault"
 	"gopim/internal/graphgen"
@@ -102,35 +100,6 @@ type Config struct {
 	// strategy is bitwise-equal to the others, so this is purely a
 	// performance knob.
 	SpMM spmm.Strategy
-}
-
-// simCounts accumulates every Sim-clock increment of one training run
-// so the run can be memoized: a memo hit applies the stored counts and
-// leaves the registry exactly as re-running the training would have.
-// (The per-epoch timer and heap gauges are Wall-clock and deliberately
-// not captured — wall telemetry reflects what actually executed.)
-type simCounts struct {
-	trainRuns, epochs        int64
-	rowsRewritten, rowsTotal int64
-	stuckElems               int64
-	graph                    string // spmm choice key ("ddi/v4267"); "" = don't record
-	strat                    spmm.Strategy
-}
-
-// apply flushes the counts into the Sim registry. Called exactly once
-// per Train/TrainMemo call — after a fresh run and on every memo hit —
-// so counter totals are identical with the memo on or off.
-func (c *simCounts) apply() {
-	mTrainRuns.Add(c.trainRuns)
-	mEpochs.Add(c.epochs)
-	mRowsRewritten.Add(c.rowsRewritten)
-	mRowsTotal.Add(c.rowsTotal)
-	if c.stuckElems != 0 {
-		mStuckElems.Add(c.stuckElems)
-	}
-	if c.graph != "" {
-		spmm.Record(c.graph, c.strat)
-	}
 }
 
 // Result reports a training run.
@@ -228,8 +197,9 @@ type workspace struct {
 	// resolved once per workspace (Â and Âᵀ share one choice — they
 	// describe the same graph).
 	strat spmm.Strategy
-	// counts accumulates the run's Sim increments for memo replay.
-	counts simCounts
+	// tape receives the run's Sim records (nil = the registry); the
+	// per-epoch timer and heap gauges are Wall and bypass it.
+	tape *simmemo.Tape
 
 	fw forwardState
 }
@@ -291,16 +261,7 @@ func layerDims(x *tensor.Matrix, weights []*tensor.Matrix) []int {
 // Train runs GCN training on a synthetic instance and returns the
 // final test metric.
 func Train(inst *graphgen.Instance, cfg Config) Result {
-	res, counts := trainCounted(inst, cfg)
-	counts.apply()
-	return res
-}
-
-// trainOutcome is what the training memo stores: the result plus the
-// Sim-counter deltas needed to replay a hit.
-type trainOutcome struct {
-	res    Result
-	counts simCounts
+	return train(nil, inst, cfg)
 }
 
 // trainCache memoizes whole training runs keyed on (instance, config).
@@ -311,52 +272,28 @@ var trainCache = simmemo.NewCache("train", 512)
 // TrainMemo is Train with sweep memoization: instKey must uniquely
 // identify the instance's content (two instances sharing a key must be
 // byte-identical — synthesis is deterministic in (Dataset, seed,
-// maxVertices), so a fingerprint of those suffices). Repeat calls with
+// maxVertices), so simmemo.Key of those suffices). Repeat calls with
 // an equal (instKey, cfg) pair reuse the previous Result and replay
-// its Sim-counter deltas, so snapshots are byte-identical with the
-// memo on or off. An empty instKey, or the memo layer being disabled,
-// falls back to a plain Train.
+// its Sim records. An empty instKey trains without the memo.
 func TrainMemo(instKey string, inst *graphgen.Instance, cfg Config) Result {
-	if instKey == "" || !simmemo.Enabled() {
-		return Train(inst, cfg)
-	}
-	out := simmemo.Do(trainCache, instKey+"|"+cfg.fingerprint(), func() *trainOutcome {
-		res, counts := trainCounted(inst, cfg)
-		return &trainOutcome{res: res, counts: *counts}
+	return simmemo.Do(trainCache, memoKey(instKey, cfg), nil, func(t *simmemo.Tape) Result {
+		return train(t, inst, cfg)
 	})
-	out.counts.apply()
-	return out.res
 }
 
-// fingerprint renders every Result-influencing Config field (the memo
-// key's config half). The resolved SpMM strategy never changes result
+// memoKey is TrainMemo's key: the instance key plus every Config
+// field, with a nil fault model resolved to fault.Default() (keyed
+// only when enabled). The resolved SpMM strategy never changes result
 // bytes, but the global -spmm override is included so choice counters
 // replay consistently if it changes between calls.
-func (cfg Config) fingerprint() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "e%d|lr%x|do%x|s%d|q%d|k%d.%d",
-		cfg.Epochs, math.Float64bits(cfg.LR), math.Float64bits(cfg.Dropout),
-		cfg.Seed, cfg.QuantBits, cfg.SpMM, spmm.Forced())
-	if p := cfg.Plan; p != nil {
-		h := fnv.New64a()
-		for _, imp := range p.Important {
-			if imp {
-				h.Write([]byte{1})
-			} else {
-				h.Write([]byte{0})
-			}
-		}
-		fmt.Fprintf(&b, "|p%x:%d:%d:%x",
-			math.Float64bits(p.Theta), p.StalePeriod, len(p.Important), h.Sum64())
+func memoKey(instKey string, cfg Config) string {
+	if instKey == "" {
+		return ""
 	}
-	fm := cfg.Fault
-	if fm == nil {
-		fm = fault.Default()
+	if cfg.Fault == nil {
+		cfg.Fault = fault.Default()
 	}
-	if fm.Enabled() {
-		fmt.Fprintf(&b, "|f%+v", fm.Config())
-	}
-	return b.String()
+	return simmemo.Key(instKey, cfg, spmm.Forced())
 }
 
 // graphKey names the aggregated adjacency for strategy-choice
@@ -366,11 +303,10 @@ func graphKey(inst *graphgen.Instance) string {
 	return fmt.Sprintf("%s/v%d", inst.Dataset.Name, inst.Features.Rows)
 }
 
-// trainCounted is the training loop proper. It touches the Sim-metric
-// registry only through ws.counts, which the caller applies — that
-// indirection is what makes whole runs memoizable without skewing a
-// single counter.
-func trainCounted(inst *graphgen.Instance, cfg Config) (Result, *simCounts) {
+// train is the training loop proper, recording its Sim metrics on t
+// (nil = the registry) — that indirection is what makes whole runs
+// memoizable without skewing a single counter.
+func train(t *simmemo.Tape, inst *graphgen.Instance, cfg Config) Result {
 	if cfg.Epochs < 1 {
 		panic(fmt.Sprintf("gcn: epochs %d must be ≥ 1", cfg.Epochs))
 	}
@@ -413,8 +349,9 @@ func trainCounted(inst *graphgen.Instance, cfg Config) (Result, *simCounts) {
 	if cfg.SpMM != spmm.Auto {
 		ws.strat = cfg.SpMM
 	}
-	ws.counts.graph = graphKey(inst)
-	ws.counts.strat = ws.strat
+	ws.tape = t
+	graph, strat := graphKey(inst), ws.strat
+	t.Record(func() { spmm.Record(graph, strat) })
 
 	// Fault injection: stuck-at masks for everything the run writes to
 	// the array. Weight masks are applied here after each epoch's
@@ -448,19 +385,19 @@ func trainCounted(inst *graphgen.Instance, cfg Config) (Result, *simCounts) {
 				stuckTotal += int64(ws.stuck[l].Stuck)
 			}
 		}
-		ws.counts.stuckElems += stuckTotal
+		t.Add(mStuckElems, stuckTotal)
 	}
 
 	// written[l] is the combined feature matrix as present on the
 	// layer's aggregation crossbars; rows refresh per the plan.
 	written := make([]*tensor.Matrix, d.Layers)
 
-	ws.counts.trainRuns++
+	t.Inc(mTrainRuns)
 	losses := make([]float64, 0, cfg.Epochs)
 	var updatedRows, totalRows float64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		t0 := obs.NowIfEnabled()
-		ws.counts.epochs++
+		t.Inc(mEpochs)
 		if quantBits >= 2 {
 			// ReRAM write-time quantisation: the crossbars only ever
 			// hold fixed-point weights.
@@ -502,7 +439,7 @@ func trainCounted(inst *graphgen.Instance, cfg Config) (Result, *simCounts) {
 		mHeapAlloc.Set(float64(ms.HeapAlloc))
 		mGCCount.Set(float64(ms.NumGC))
 	}
-	return res, &ws.counts
+	return res
 }
 
 // forwardState caches one forward pass for backprop. Its matrices
@@ -540,13 +477,7 @@ func forwardQuant(adj *sparsemat.CSR, x *tensor.Matrix, weights []*tensor.Matrix
 	written []*tensor.Matrix, plan *mapping.UpdatePlan, epoch int,
 	dropout float64, rng *rand.Rand, quantBits int) *forwardState {
 	ws := newWorkspace(adj, nil, x.Rows, layerDims(x, weights))
-	fw := ws.forwardQuant(x, weights, written, plan, epoch, dropout, rng, quantBits)
-	// Transient workspaces flush their row counters immediately: the
-	// free functions are not memoized, so their metric effect must
-	// match the historic direct increments.
-	ws.counts.apply()
-	ws.counts = simCounts{}
-	return fw
+	return ws.forwardQuant(x, weights, written, plan, epoch, dropout, rng, quantBits)
 }
 
 // forwardQuant runs one forward pass into the workspace buffers. The
@@ -583,7 +514,7 @@ func (ws *workspace) forwardQuant(x *tensor.Matrix, weights []*tensor.Matrix,
 			msk = nil
 		}
 
-		ws.counts.rowsTotal += int64(c.Rows)
+		ws.tape.Add(mRowsTotal, int64(c.Rows))
 		if plan != nil {
 			// ISU: copy fresh rows for vertices due this epoch; stale
 			// rows stay as last written.
@@ -593,7 +524,7 @@ func (ws *workspace) forwardQuant(x *tensor.Matrix, weights []*tensor.Matrix,
 				}
 				written[l] = c.Clone() // first epoch writes everything
 				updSum++
-				ws.counts.rowsRewritten += int64(c.Rows)
+				ws.tape.Add(mRowsRewritten, int64(c.Rows))
 			} else {
 				updated := 0
 				for v := 0; v < c.Rows; v++ {
@@ -606,7 +537,7 @@ func (ws *workspace) forwardQuant(x *tensor.Matrix, weights []*tensor.Matrix,
 					}
 				}
 				updSum += float64(updated) / float64(c.Rows)
-				ws.counts.rowsRewritten += int64(updated)
+				ws.tape.Add(mRowsRewritten, int64(updated))
 				c.CopyFrom(written[l])
 			}
 		} else {
@@ -614,7 +545,7 @@ func (ws *workspace) forwardQuant(x *tensor.Matrix, weights []*tensor.Matrix,
 				applyStuckAll(c, msk, sch, ws.stuckBPC, ws.stuckCells)
 			}
 			updSum++
-			ws.counts.rowsRewritten += int64(c.Rows)
+			ws.tape.Add(mRowsRewritten, int64(c.Rows))
 		}
 		fw.combined[l] = c
 

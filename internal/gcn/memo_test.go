@@ -80,9 +80,9 @@ func TestTrainMemoDisabledAndKeyless(t *testing.T) {
 }
 
 // TestFingerprintCoversConfig guards the training memo key: every
-// Config field must change fingerprint() when perturbed, so a field
-// added without extending the key fails here instead of silently
-// reusing a stale training cell.
+// Config field must change memoKey when perturbed, so a field added
+// without extending the key fails here instead of silently reusing a
+// stale training cell.
 func TestFingerprintCoversConfig(t *testing.T) {
 	base := Config{
 		Epochs: 3, LR: 0.01, Dropout: 0.5, Seed: 1, QuantBits: 16,
@@ -91,8 +91,9 @@ func TestFingerprintCoversConfig(t *testing.T) {
 	faulty := func(cfg fault.Config) func(*Config) {
 		return func(c *Config) { c.Fault = fault.MustNew(cfg) }
 	}
-	keycheck.Check(t, base, Config.fingerprint, nil, map[string][]func(*Config){
-		// *fault.Model hides its Config; the key prints it in full.
+	key := func(c Config) string { return memoKey("inst", c) }
+	keycheck.Check(t, base, key, nil, map[string][]func(*Config){
+		// *fault.Model hides its Config; its MemoKey encodes it in full.
 		"Fault": {
 			faulty(fault.Config{Rate: 0.01, Seed: 1}),
 			faulty(fault.Config{Rate: 0.02, Seed: 1}),

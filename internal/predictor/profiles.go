@@ -1,7 +1,6 @@
 package predictor
 
 import (
-	"fmt"
 	"math/rand"
 
 	"gopim/internal/graphgen"
@@ -94,13 +93,6 @@ func unitSeed(base int64, i int) int64 {
 // SplitTrainTest and BlindFeatures build fresh slices).
 var profileCache = simmemo.NewCache("profile", 64)
 
-// profileMemo carries the sweep result plus the unit count needed to
-// replay Generate's Sim counters on a cache hit.
-type profileMemo struct {
-	units   int
-	samples []Sample
-}
-
 // Generate produces the profile dataset by sweeping the spec's axes
 // through the timing simulator. Units — one per (dataset, scale) pair,
 // covering that pair's full hidden-width × micro-batch sweep — run in
@@ -109,20 +101,30 @@ type profileMemo struct {
 //
 // Results are memoized by spec; the returned slice is shared across
 // same-spec calls and must not be mutated.
-func Generate(spec ProfileSpec) []Sample {
-	spec.defaults()
-	out := simmemo.Do(profileCache, fmt.Sprintf("%+v", spec), func() *profileMemo {
-		units, samples := generateCore(spec)
-		return &profileMemo{units: units, samples: samples}
-	})
-	mProfileUnits.Add(int64(out.units))
-	mProfileSamples.Add(int64(len(out.samples)))
-	return out.samples
+func Generate(spec ProfileSpec) []Sample { return generate(nil, spec) }
+
+// TrainProfiled trains the default MLP time predictor on spec's
+// profile corpus, recording every Sim metric on t (nil = the
+// registry) — the body of a memoized shared predictor.
+func TrainProfiled(t *simmemo.Tape, spec ProfileSpec) *TimePredictor {
+	p := NewTimePredictor()
+	p.train(t, generate(t, spec))
+	return p
 }
 
+func generate(t *simmemo.Tape, spec ProfileSpec) []Sample {
+	spec.defaults()
+	return simmemo.Do(profileCache, profileKey(spec), t, func(t *simmemo.Tape) []Sample {
+		return generateCore(t, spec)
+	})
+}
+
+// profileKey is Generate's memo key: the whole defaulted spec.
+func profileKey(spec ProfileSpec) string { return simmemo.Key(spec) }
+
 // generateCore is the memoized body of Generate: a pure function of the
-// defaulted spec, with the counter records hoisted to the caller.
-func generateCore(spec ProfileSpec) (int, []Sample) {
+// defaulted spec.
+func generateCore(t *simmemo.Tape, spec ProfileSpec) []Sample {
 	type unit struct {
 		ds   graphgen.Dataset
 		n    int
@@ -173,5 +175,7 @@ func generateCore(spec ProfileSpec) (int, []Sample) {
 	for _, s := range perUnit {
 		samples = append(samples, s...)
 	}
-	return len(units), samples
+	t.Add(mProfileUnits, int64(len(units)))
+	t.Add(mProfileSamples, int64(len(samples)))
+	return samples
 }

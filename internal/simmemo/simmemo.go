@@ -1,41 +1,36 @@
 // Package simmemo is the input-keyed memo layer for the analytic
-// simulator and its sweep harnesses. Sweep drivers (the experiments
-// grids, the θ tuner, serve what-if requests) re-evaluate the same
-// stage-input tuples over and over — the same synthesized instance,
-// the same GCN training configuration, the same event-level schedule.
-// simmemo lets each subsystem register a named cache keyed by the
-// exact input fingerprint and reuse the previous result, so a sweep
-// re-computes only the cells whose inputs actually changed.
+// simulator and its sweep harnesses, which re-evaluate the same inputs
+// over and over (the same synthesized instance, GCN training or
+// event-level schedule). Each subsystem registers a named cache keyed
+// by the canonical encoding of its inputs (Key), so a sweep
+// re-computes only the cells whose inputs changed.
 //
-// Determinism contract (the part that lets the hit/miss counters live
-// on the Sim clock): each cache is a singleflight LRU, so for a fixed
-// set of Do calls that fits the cache without mid-flight eviction, the
-// number of computations equals the number of distinct keys regardless
-// of scheduling or worker count. Misses count Computed outcomes; hits
-// count Cached + Coalesced — both totals are pure functions of (call
-// multiset, key set). Cache capacities are therefore sized well above
-// any single run's working set; an eviction mid-run would make hit
-// counts scheduling-dependent (the same caveat the serve response
-// cache documents).
+// Do is the only entry point, and one rule keeps Sim snapshots
+// byte-identical with the memo on or off: a memoized computation
+// records its Sim metrics on the *Tape it is handed. A miss stores the
+// tape beside the result, and every call, hit or miss, applies it once
+// to the caller's destination — the enclosing computation's tape when
+// calls nest, so an outer hit replays its nested calls too, else the
+// registry. A nil tape is the registry: with the memo off or an empty
+// key the computation runs inline and records straight through.
+// Records that are a pure function of the result may stay ordinary
+// records after the call; Wall-clock metrics never go on a tape.
 //
-// The second half of the contract is on the callers: a memoized
-// computation must leave the Sim-metric registry exactly as the
-// un-memoized computation would have. Computations whose counters are
-// pure functions of (input, result) — trace.Simulate, pipeline — just
-// re-run the recording lines on a hit; computations with interleaved
-// increments (gcn.Train, predictor.Generate) accumulate their counts
-// into a replay struct stored beside the result and re-apply it on
-// every hit. Either way, workload-semantics Sim counters (gcn.*,
-// pipeline.*, trace.*, accel.*) are byte-identical with the memo on
-// or off, at any worker count. The exceptions are simmemo.*'s own
-// hit/miss counters and the parallel.* pool-attribution counters:
-// those meter executed work, which is exactly what a memo hit elides.
+// The exceptions are simmemo.*'s own hit/miss counters and the
+// parallel.* pool-attribution counters, which meter executed work —
+// exactly what a hit elides. Hit/miss counts are still Sim-clock: each
+// cache is a singleflight LRU, so while no entry is evicted mid-run,
+// misses equal distinct keys whatever the scheduling or worker count.
 //
-// Values handed back on a hit are shared, not copied: cached results
-// must be treated as immutable by every caller.
+// Values handed back on a hit are shared: treat them as immutable.
 package simmemo
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"reflect"
 	"sync"
 	"sync/atomic"
 
@@ -43,7 +38,7 @@ import (
 	"gopim/internal/singleflight"
 )
 
-// enabled gates every cache in the package. Default on: the memo layer
+// disabled gates every cache in the package. Default on: the memo layer
 // never changes output bytes, only wall time. Stored inverted so the
 // zero value means "on" without an init hook.
 var disabled atomic.Bool
@@ -52,17 +47,80 @@ var disabled atomic.Bool
 func Enabled() bool { return !disabled.Load() }
 
 // SetEnabled turns the memo layer on or off globally (the -sim-memo
-// knob). Turning it off makes every Do call compute inline and record
-// nothing, restoring pre-memo behaviour exactly.
+// knob). Turning it off makes every Do call compute inline, recording
+// straight to the registry, and touch no hit/miss counter.
 func SetEnabled(on bool) { disabled.Store(!on) }
+
+// Tape collects the Sim records of one memoized computation. Counter
+// adds coalesce per counter, so a training loop that adds every epoch
+// allocates only on a counter's first add; any other record is a
+// closure replayed in order. A nil *Tape records straight to the
+// registry. Safe for concurrent recording.
+type Tape struct {
+	mu   sync.Mutex
+	adds []tapeAdd
+	recs []func()
+}
+
+type tapeAdd struct {
+	c *obs.Counter
+	n int64
+}
+
+// Add adds n to c.
+func (t *Tape) Add(c *obs.Counter, n int64) {
+	if t == nil {
+		c.Add(n)
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range t.adds {
+		if t.adds[i].c == c {
+			t.adds[i].n += n
+			return
+		}
+	}
+	t.adds = append(t.adds, tapeAdd{c, n})
+}
+
+// Inc adds one to c.
+func (t *Tape) Inc(c *obs.Counter) { t.Add(c, 1) }
+
+// Record runs rec, a registry effect other than a counter add: now on
+// a nil tape, else once per application of the tape.
+func (t *Tape) Record(rec func()) {
+	if t == nil {
+		rec()
+		return
+	}
+	t.mu.Lock()
+	t.recs = append(t.recs, rec)
+	t.mu.Unlock()
+}
+
+// applyTo replays a completed tape onto dst (nil = the registry).
+func (t *Tape) applyTo(dst *Tape) {
+	for _, a := range t.adds {
+		dst.Add(a.c, a.n)
+	}
+	for _, rec := range t.recs {
+		dst.Record(rec)
+	}
+}
 
 // Cache is one named memo domain: a singleflight LRU plus its Sim-clock
 // hit/miss counters. Construct with NewCache at package init so counter
 // registration order is deterministic.
 type Cache struct {
-	name         string
-	sf           *singleflight.Cache[string, any]
+	sf           *singleflight.Cache[string, entry]
 	hits, misses *obs.Counter
+}
+
+// entry is a completed computation: its value and the tape it recorded.
+type entry struct {
+	v    any
+	tape *Tape
 }
 
 // registry tracks every cache so bench repeats can clear them all
@@ -78,8 +136,7 @@ var (
 // see the package contract.
 func NewCache(name string, max int) *Cache {
 	c := &Cache{
-		name: name,
-		sf:   singleflight.New[string, any](max),
+		sf: singleflight.New[string, entry](max),
 		hits: obs.NewCounter("simmemo."+name+"_hits", obs.Sim,
 			"memoized "+name+" reuses (cached + coalesced); worker-count-independent"),
 		misses: obs.NewCounter("simmemo."+name+"_misses", obs.Sim,
@@ -99,29 +156,25 @@ func (c *Cache) Hits() int64 { return c.hits.Value() }
 func (c *Cache) Misses() int64 { return c.misses.Value() }
 
 // Do returns the value for key, computing it with fn on first use and
-// coalescing concurrent same-key calls. With the layer disabled it
-// runs fn inline and touches no counters. The returned value is shared
-// across all callers of the key: treat it as immutable.
-func Do[T any](c *Cache, key string, fn func() T) T {
-	v, _ := DoOutcome(c, key, fn)
-	return v
-}
-
-// DoOutcome is Do plus a hit report: hit is true when the value came
-// from the cache (cached or coalesced) rather than from this call's fn.
-// Callers whose memoized computation bumps Sim counters internally use
-// it to replay those counts from the stored value on a hit.
-func DoOutcome[T any](c *Cache, key string, fn func() T) (v T, hit bool) {
-	if !Enabled() {
-		return fn(), false
+// coalescing concurrent same-key calls. fn records on the tape it
+// receives, which is applied to dst (nil = the registry) once per
+// call, hit or miss. With the layer disabled or an empty key, fn runs
+// inline on dst and no counter of c moves.
+func Do[T any](c *Cache, key string, dst *Tape, fn func(*Tape) T) T {
+	if key == "" || !Enabled() {
+		return fn(dst)
 	}
-	vv, out := c.sf.DoOutcome(key, func() any { return fn() })
-	if out == singleflight.Computed {
-		c.misses.Inc()
-	} else {
+	e, hit := c.sf.Do(key, func() entry {
+		t := new(Tape)
+		return entry{fn(t), t}
+	})
+	if hit {
 		c.hits.Inc()
+	} else {
+		c.misses.Inc()
 	}
-	return vv.(T), out != singleflight.Computed
+	e.tape.applyTo(dst)
+	return e.v.(T)
 }
 
 // The memo caches clear whenever the default registry resets: hit/miss
@@ -143,4 +196,73 @@ func ResetAll() {
 	for _, c := range caches {
 		c.sf.Reset()
 	}
+}
+
+// keyer is implemented by inputs whose memo identity is not their
+// field-by-field content (hidden state, or fields that only matter in
+// some modes). Key encodes such a value as its MemoKey string.
+type keyer interface{ MemoKey() string }
+
+var keyerType = reflect.TypeOf((*keyer)(nil)).Elem()
+
+// Key returns the canonical memo key of parts: an exact encoding hashed
+// to 32 bytes. Integers and bools encode by value, floats by bit
+// pattern, strings, slices and arrays length-prefixed, structs field by
+// field, pointers as nil or their pointee, and a type with a MemoKey()
+// string method (checked before a pointer is followed) as its MemoKey.
+// Types are not encoded, so each domain keys one fixed list of part
+// types. Anything else — maps, funcs, interfaces, unexported fields —
+// panics.
+func Key(parts ...any) string {
+	b := make([]byte, 0, 512)
+	for _, p := range parts {
+		b = appendKey(b, reflect.ValueOf(p))
+	}
+	sum := sha256.Sum256(b)
+	return string(sum[:])
+}
+
+func appendKey(b []byte, v reflect.Value) []byte {
+	if v.Type().Implements(keyerType) {
+		return appendString(b, v.Interface().(keyer).MemoKey())
+	}
+	switch v.Kind() {
+	case reflect.Bool:
+		if v.Bool() {
+			return append(b, 1)
+		}
+		return append(b, 0)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return binary.LittleEndian.AppendUint64(b, uint64(v.Int()))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return binary.LittleEndian.AppendUint64(b, v.Uint())
+	case reflect.Float32, reflect.Float64:
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Float()))
+	case reflect.String:
+		return appendString(b, v.String())
+	case reflect.Slice, reflect.Array:
+		b = binary.LittleEndian.AppendUint64(b, uint64(v.Len()))
+		for i := 0; i < v.Len(); i++ {
+			b = appendKey(b, v.Index(i))
+		}
+		return b
+	case reflect.Pointer:
+		if v.IsNil() {
+			return append(b, 0)
+		}
+		return appendKey(append(b, 1), v.Elem())
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if !v.Type().Field(i).IsExported() {
+				panic(fmt.Sprintf("simmemo: cannot key unexported field %s.%s", v.Type(), v.Type().Field(i).Name))
+			}
+			b = appendKey(b, v.Field(i))
+		}
+		return b
+	}
+	panic(fmt.Sprintf("simmemo: cannot key a %s", v.Type()))
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.LittleEndian.AppendUint64(b, uint64(len(s))), s...)
 }

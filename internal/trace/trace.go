@@ -115,29 +115,16 @@ const memoMaxEvents = 1 << 16
 // memoSimulate is the memoized core shared by Simulate and
 // SimulateUnrecorded. Results must be treated as immutable.
 func memoSimulate(in Input) *Schedule {
-	if !simmemo.Enabled() || len(in.TimesNS)*in.MicroBatches > memoMaxEvents {
-		return simulate(in)
-	}
-	return simmemo.Do(schedCache, in.fingerprint(), func() *Schedule { return simulate(in) })
+	return simmemo.Do(schedCache, memoKey(in), nil, func(*simmemo.Tape) *Schedule { return simulate(in) })
 }
 
-// fingerprint renders the exact stage-input tuple: float64 latencies
-// by bit pattern, so two inputs collide only when every field is
-// bit-identical.
-func (in Input) fingerprint() string {
-	var b strings.Builder
-	b.Grow(18*len(in.TimesNS) + 8*len(in.Replicas) + 16)
-	for _, t := range in.TimesNS {
-		b.WriteString(strconv.FormatUint(math.Float64bits(t), 16))
-		b.WriteByte(',')
+// memoKey keys the exact stage-input tuple (latencies by bit pattern),
+// or returns "" — no memo — for schedules above memoMaxEvents.
+func memoKey(in Input) string {
+	if len(in.TimesNS)*in.MicroBatches > memoMaxEvents {
+		return ""
 	}
-	b.WriteByte('|')
-	for _, r := range in.Replicas {
-		b.WriteString(strconv.Itoa(r))
-		b.WriteByte(',')
-	}
-	fmt.Fprintf(&b, "|%d|%d", in.MicroBatches, in.MicroBatchesPerBatch)
-	return b.String()
+	return simmemo.Key(in)
 }
 
 func simulate(in Input) *Schedule {
