@@ -139,21 +139,20 @@ func newAdam(lr float64, ws []*tensor.Matrix) *adamState {
 	return s
 }
 
+// step applies one Adam update per weight matrix. The constants fold
+// 1−β exactly (1−0.9 is 0.1 here, unlike mlp's run-time complement).
 func (s *adamState) step(ws, grads []*tensor.Matrix) {
 	const b1, b2, eps = 0.9, 0.999, 1e-8
 	s.t++
-	c1 := 1 - math.Pow(b1, float64(s.t))
-	c2 := 1 - math.Pow(b2, float64(s.t))
-	// float64(·) keeps each product separately rounded: the Go spec
-	// lets compilers fuse x*y + z into one FMA (arm64 does), which
-	// would change bits across hosts. loss.go does the same.
+	k := tensor.AdamCoef{
+		Beta1: b1, OneMinusBeta1: 1 - b1,
+		Beta2: b2, OneMinusBeta2: 1 - b2,
+		C1: 1 - math.Pow(b1, float64(s.t)),
+		C2: 1 - math.Pow(b2, float64(s.t)),
+		LR: s.lr, Eps: eps,
+	}
 	for i, w := range ws {
-		g := grads[i]
-		for j := range w.Data {
-			s.m[i].Data[j] = float64(b1*s.m[i].Data[j]) + float64((1-b1)*g.Data[j])
-			s.v[i].Data[j] = float64(b2*s.v[i].Data[j]) + float64((1-b2)*g.Data[j]*g.Data[j])
-			w.Data[j] -= s.lr * (s.m[i].Data[j] / c1) / (math.Sqrt(s.v[i].Data[j]/c2) + eps)
-		}
+		tensor.AdamStep(w.Data, grads[i].Data, s.m[i].Data, s.v[i].Data, k)
 	}
 }
 

@@ -122,9 +122,10 @@ type grads struct {
 
 // backwardWS computes MSE-loss gradients for the batch last run
 // through forwardWS. The returned gradients alias workspace buffers.
-// Every accumulation runs in the historic order; the fused ReLU-mask
-// step multiplies masked entries by zero (never assigns), so signed
-// zeros and NaN propagation match MulInPlace(ReLUMask) bit for bit.
+// Every accumulation runs in the historic order; the ReLU mask is
+// ReLUMaskInPlace, which multiplies masked entries by zero (never
+// assigns), so signed zeros and NaN propagation match the historic
+// MulInPlace(ReLUMask) bit for bit.
 func (n *Net) backwardWS(ws *netWorkspace, target *tensor.Matrix) (float64, grads) {
 	batch := float64(target.Rows)
 	layers := len(n.Weights)
@@ -137,6 +138,9 @@ func (n *Net) backwardWS(ws *netWorkspace, target *tensor.Matrix) (float64, grad
 	delta := ws.delta[layers]
 	delta.CopyFrom(pred)
 	delta.SubInPlace(target)
+	// float64(·) keeps each product separately rounded: the Go spec
+	// lets compilers fuse x*y + z into one FMA (arm64 does), which
+	// would change bits across hosts.
 	var loss float64
 	for _, v := range delta.Data {
 		loss += float64(v * v)
@@ -155,12 +159,7 @@ func (n *Net) backwardWS(ws *netWorkspace, target *tensor.Matrix) (float64, grad
 			// Propagate through the previous ReLU.
 			tensor.MatMulNTInto(ws.delta[i], delta, n.Weights[i])
 			delta = ws.delta[i]
-			dd := delta.Data
-			for j, av := range ws.acts[i].Data {
-				if !(av > 0) {
-					dd[j] *= 0
-				}
-			}
+			delta.ReLUMaskInPlace(ws.acts[i])
 		}
 	}
 	return loss, grads{w: ws.gw, b: ws.gb}
@@ -184,40 +183,40 @@ func NewAdam(lr float64) *Adam {
 }
 
 func (a *Adam) init(n *Net) {
-	if a.mw != nil {
+	if a.mw == nil {
+		for i := range n.Weights {
+			a.mw = append(a.mw, tensor.New(n.Weights[i].Rows, n.Weights[i].Cols))
+			a.vw = append(a.vw, tensor.New(n.Weights[i].Rows, n.Weights[i].Cols))
+			a.mb = append(a.mb, make([]float64, len(n.Biases[i])))
+			a.vb = append(a.vb, make([]float64, len(n.Biases[i])))
+		}
 		return
 	}
-	for i := range n.Weights {
-		a.mw = append(a.mw, tensor.New(n.Weights[i].Rows, n.Weights[i].Cols))
-		a.vw = append(a.vw, tensor.New(n.Weights[i].Rows, n.Weights[i].Cols))
-		a.mb = append(a.mb, make([]float64, len(n.Biases[i])))
-		a.vb = append(a.vb, make([]float64, len(n.Biases[i])))
+	ok := len(a.mw) == len(n.Weights)
+	for i := 0; ok && i < len(a.mw); i++ {
+		ok = a.mw[i].Rows == n.Weights[i].Rows && a.mw[i].Cols == n.Weights[i].Cols
+	}
+	if !ok {
+		panic(fmt.Sprintf("mlp: Adam built for another net shape, now stepping %v", n.Sizes))
 	}
 }
 
+// step applies one Adam update per weight matrix and bias vector.
+// The complements 1−β are computed here at run time, as they always
+// were (1−0.9 rounds to 0.09999999999999998, not 0.1).
 func (a *Adam) step(n *Net, g grads) {
 	a.init(n)
 	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	// float64(·) keeps each product separately rounded: the Go spec
-	// lets compilers fuse x*y + z into one FMA (arm64 does), which
-	// would change bits across hosts. Same for the loss sum above.
+	k := tensor.AdamCoef{
+		Beta1: a.Beta1, OneMinusBeta1: 1 - a.Beta1,
+		Beta2: a.Beta2, OneMinusBeta2: 1 - a.Beta2,
+		C1: 1 - math.Pow(a.Beta1, float64(a.t)),
+		C2: 1 - math.Pow(a.Beta2, float64(a.t)),
+		LR: a.LR, Eps: a.Eps,
+	}
 	for i := range n.Weights {
-		wd, gd := n.Weights[i].Data, g.w[i].Data
-		md, vd := a.mw[i].Data, a.vw[i].Data
-		for j := range wd {
-			md[j] = float64(a.Beta1*md[j]) + float64((1-a.Beta1)*gd[j])
-			vd[j] = float64(a.Beta2*vd[j]) + float64((1-a.Beta2)*gd[j]*gd[j])
-			wd[j] -= a.LR * (md[j] / c1) / (math.Sqrt(vd[j]/c2) + a.Eps)
-		}
-		bb, gb := n.Biases[i], g.b[i]
-		mb, vb := a.mb[i], a.vb[i]
-		for j := range bb {
-			mb[j] = float64(a.Beta1*mb[j]) + float64((1-a.Beta1)*gb[j])
-			vb[j] = float64(a.Beta2*vb[j]) + float64((1-a.Beta2)*gb[j]*gb[j])
-			bb[j] -= a.LR * (mb[j] / c1) / (math.Sqrt(vb[j]/c2) + a.Eps)
-		}
+		tensor.AdamStep(n.Weights[i].Data, g.w[i].Data, a.mw[i].Data, a.vw[i].Data, k)
+		tensor.AdamStep(n.Biases[i], g.b[i], a.mb[i], a.vb[i], k)
 	}
 }
 
@@ -240,6 +239,9 @@ func (n *Net) trainStepWS(ws *netWorkspace, opt *Adam, x, y *tensor.Matrix) floa
 func (n *Net) Fit(rng *rand.Rand, opt *Adam, x, y *tensor.Matrix, epochs, batchSize int) float64 {
 	if x.Rows != y.Rows {
 		panic(fmt.Sprintf("mlp: %d samples vs %d targets", x.Rows, y.Rows))
+	}
+	if x.Rows == 0 {
+		panic("mlp: Fit needs at least one sample")
 	}
 	if batchSize < 1 {
 		batchSize = x.Rows

@@ -153,14 +153,45 @@ func TestTrainStepReducesLoss(t *testing.T) {
 }
 
 func TestFitValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	n := New(rng, 2, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for mismatched sample counts")
-		}
-	}()
-	n.Fit(rng, NewAdam(0.01), tensor.New(3, 2), tensor.New(4, 1), 1, 2)
+	for _, tc := range []struct {
+		name string
+		x, y *tensor.Matrix
+	}{
+		{"mismatched sample counts", tensor.New(3, 2), tensor.New(4, 1)},
+		// With no samples the epoch mean would be 0/0, a NaN loss.
+		{"zero samples", tensor.New(0, 2), tensor.New(0, 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(6))
+			n := New(rng, 2, 1)
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("expected panic for %s", tc.name)
+				}
+			}()
+			n.Fit(rng, NewAdam(0.01), tc.x, tc.y, 1, 2)
+		})
+	}
+}
+
+// TestAdamRejectsOtherNetShape: an optimiser's moments belong to the
+// net it first stepped; stepping a differently shaped net must panic
+// rather than update the wrong shapes.
+func TestAdamRejectsOtherNetShape(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	x, y := tensor.NewRandom(rng, 4, 3, 1), tensor.NewRandom(rng, 4, 1, 1)
+	opt := NewAdam(0.01)
+	New(rng, 3, 4, 1).TrainStep(opt, x, y)
+	for _, sizes := range [][]int{{3, 5, 1}, {3, 4, 4, 1}, {3, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("expected panic stepping a %v net with a {3 4 1} optimiser", sizes)
+				}
+			}()
+			New(rng, sizes...).TrainStep(opt, x, y)
+		}()
+	}
 }
 
 func TestDeterministicWithSeed(t *testing.T) {

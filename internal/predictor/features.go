@@ -47,10 +47,12 @@ func Extract(cfg stage.Config, l int) Features {
 	in, out := stage.LayerDims(cfg.Dataset, l)
 	n := cfg.Deg.N
 	b := cfg.MicroBatch
-	// Sparsity of the adjacency matrix: 1 − 2E/n².
+	// Sparsity of the adjacency matrix: 1 − 2E/n². float64(·) rounds
+	// E (TotalEdges inlines as sum·0.5) so arm64 cannot fuse it into
+	// the doubling.
 	sparsity := 1.0
 	if n > 0 {
-		sparsity = 1 - 2*cfg.Deg.TotalEdges()/(float64(n)*float64(n))
+		sparsity = 1 - 2*float64(cfg.Deg.TotalEdges())/(float64(n)*float64(n))
 	}
 	return Features{
 		FRIFMCO:   float64(b),

@@ -10,6 +10,11 @@ import (
 	"gopim/internal/tensor"
 )
 
+// Throughout this package a product that feeds a sum is written
+// float64(x*y): the Go spec lets a compiler fuse x*y + z into one FMA
+// (arm64 does), which would change bits across hosts. CI's FMA guard
+// checks the package on an arm64 cross-build.
+
 // Regressor is a single-output regression model. Implementations
 // mirror the scikit-learn families the paper benchmarks in Fig. 9.
 type Regressor interface {
@@ -44,7 +49,7 @@ func fitScaler(X [][]float64) *scaler {
 	for _, row := range X {
 		for j, v := range row {
 			d := v - s.mean[j]
-			s.std[j] += d * d
+			s.std[j] += float64(d * d)
 		}
 	}
 	for j := range s.std {
@@ -106,9 +111,9 @@ func (l *Linear) Fit(X [][]float64, y []float64) {
 		row[d-1] = 1
 		for p := 0; p < d; p++ {
 			for q := 0; q < d; q++ {
-				a[p][q] += row[p] * row[q]
+				a[p][q] += float64(row[p] * row[q])
 			}
-			b[p] += row[p] * y[i]
+			b[p] += float64(row[p] * y[i])
 		}
 	}
 	for p := 0; p < d; p++ {
@@ -121,7 +126,7 @@ func (l *Linear) Predict(x []float64) float64 {
 	sx := l.scale.apply(x)
 	out := l.w[len(l.w)-1]
 	for j, v := range sx {
-		out += l.w[j] * v
+		out += float64(l.w[j] * v)
 	}
 	return out
 }
@@ -145,16 +150,16 @@ func solveGauss(a [][]float64, b []float64) []float64 {
 		for r := col + 1; r < n; r++ {
 			f := a[r][col] / a[col][col]
 			for c := col; c < n; c++ {
-				a[r][c] -= f * a[col][c]
+				a[r][c] -= float64(f * a[col][c])
 			}
-			b[r] -= f * b[col]
+			b[r] -= float64(f * b[col])
 		}
 	}
 	x := make([]float64, n)
 	for r := n - 1; r >= 0; r-- {
 		sum := b[r]
 		for c := r + 1; c < n; c++ {
-			sum -= a[r][c] * x[c]
+			sum -= float64(a[r][c] * x[c])
 		}
 		if a[r][r] != 0 {
 			x[r] = sum / a[r][r]
@@ -212,7 +217,7 @@ func sse(y []float64, idx []int) float64 {
 	var s float64
 	for _, i := range idx {
 		d := y[i] - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }
@@ -323,7 +328,7 @@ func (g *GBT) Fit(X [][]float64, y []float64) {
 		t.Fit(X, resid)
 		g.trees = append(g.trees, t)
 		for i := range pred {
-			pred[i] += g.Shrinkage * t.Predict(X[i])
+			pred[i] += float64(g.Shrinkage * t.Predict(X[i]))
 		}
 	}
 }
@@ -331,7 +336,7 @@ func (g *GBT) Fit(X [][]float64, y []float64) {
 func (g *GBT) Predict(x []float64) float64 {
 	out := g.base
 	for _, t := range g.trees {
-		out += g.Shrinkage * t.Predict(x)
+		out += float64(g.Shrinkage * t.Predict(x))
 	}
 	return out
 }
@@ -370,13 +375,13 @@ func (s *SVR) Fit(X [][]float64, y []float64) {
 	idx := rng.Perm(len(X))
 	lambda := 1 / (s.C * float64(len(X)))
 	for e := 0; e < s.Epochs; e++ {
-		lr := s.LR / (1 + 0.01*float64(e))
+		lr := s.LR / (1 + float64(0.01*float64(e)))
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		for _, i := range idx {
 			x := s.scale.apply(X[i])
 			pred := s.b
 			for j, v := range x {
-				pred += s.w[j] * v
+				pred += float64(s.w[j] * v)
 			}
 			err := pred - y[i]
 			var sign float64
@@ -387,9 +392,9 @@ func (s *SVR) Fit(X [][]float64, y []float64) {
 				sign = -1
 			}
 			for j, v := range x {
-				s.w[j] -= lr * (lambda*s.w[j] + sign*v)
+				s.w[j] -= float64(lr * (float64(lambda*s.w[j]) + float64(sign*v)))
 			}
-			s.b -= lr * sign
+			s.b -= float64(lr * sign)
 		}
 	}
 }
@@ -398,7 +403,7 @@ func (s *SVR) Predict(x []float64) float64 {
 	sx := s.scale.apply(x)
 	out := s.b
 	for j, v := range sx {
-		out += s.w[j] * v
+		out += float64(s.w[j] * v)
 	}
 	return out
 }

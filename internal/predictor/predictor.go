@@ -68,7 +68,7 @@ func logNorm(t, lo, hi float64) float64 {
 }
 
 func logDenorm(v, lo, hi float64) float64 {
-	return math.Exp(v*(hi-lo) + lo)
+	return math.Exp(float64(v*(hi-lo)) + lo)
 }
 
 // Train fits one model per stage kind on the samples.
@@ -170,7 +170,7 @@ func (p *TimePredictor) RMSE(test []Sample) float64 {
 		pred := m.Predict(logFeatures(s.Features))
 		want := logNorm(s.TimeNS, p.lo[s.Kind], p.hi[s.Kind])
 		d := pred - want
-		sum += d * d
+		sum += float64(d * d)
 		n++
 	}
 	if n == 0 {

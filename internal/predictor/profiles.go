@@ -161,7 +161,7 @@ func generateCore(t *simmemo.Tape, spec ProfileSpec) []Sample {
 				}
 				ws := ProfileWorkload(cfg)
 				for i := range ws {
-					ws[i].TimeNS *= 1 + spec.NoiseFrac*rng.NormFloat64()
+					ws[i].TimeNS *= 1 + float64(spec.NoiseFrac*rng.NormFloat64())
 					if ws[i].TimeNS <= 0 {
 						ws[i].TimeNS = 1
 					}

@@ -11,3 +11,12 @@ func axpy1AVX(dst, x []float64, a float64)
 
 //go:noescape
 func axpyPairAVX(dst, x0, x1 []float64, a0, a1 float64)
+
+//go:noescape
+func adamStepAVX(w, g, m, v []float64, k AdamCoef)
+
+//go:noescape
+func reluAVX(x []float64)
+
+//go:noescape
+func reluMaskAVX(d, a []float64)

@@ -594,17 +594,6 @@ func (m *Matrix) ReLU() *Matrix {
 	})
 }
 
-// ReLUInPlace applies max(x, 0) element-wise in place. The predicate
-// mirrors ReLU exactly (anything not greater than zero, NaN included,
-// becomes 0) so the two paths stay bit-identical.
-func (m *Matrix) ReLUInPlace() {
-	for i, v := range m.Data {
-		if !(v > 0) {
-			m.Data[i] = 0
-		}
-	}
-}
-
 // ReLUMask returns a matrix with 1 where m > 0 and 0 elsewhere —
 // the derivative of ReLU used during backpropagation.
 func (m *Matrix) ReLUMask() *Matrix {
